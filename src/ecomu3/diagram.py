@@ -71,23 +71,19 @@ class PosetDiagram:
                     raise FunctorialityViolation(
                         f"{self.arrow_name(a, b)} degree {k}: shape "
                         f"{(m.rows, m.cols)} != {want}")
-        for (a, b) in self.poset.chains2:
-            for (b2, c) in self.poset.chains2:
-                if b2 != b:
-                    continue
-                for k in range(self.max_degree + 1):
-                    lhs = self.matrix(b, c, k) * self.matrix(a, b, k)
-                    rhs = self.matrix(a, c, k)
-                    if not _equal_modp(lhs, rhs, p):
-                        raise FunctorialityViolation(
-                            f"{self.arrow_name(a, b)} then {self.arrow_name(b, c)} "
-                            f"!= {self.arrow_name(a, c)} in degree {k}")
+        for (a, b, c) in self.poset.chains3:
+            for k in range(self.max_degree + 1):
+                if not commutes(self.matrix(a, b, k), self.matrix(b, c, k),
+                                self.matrix(a, c, k), p):
+                    raise FunctorialityViolation(
+                        f"{self.arrow_name(a, b)} then {self.arrow_name(b, c)} "
+                        f"!= {self.arrow_name(a, c)} in degree {k}")
         # the two middle objects (0,2) and (0,1,2) coincide, identity between
         if self.dims[4] != self.dims[6]:
             raise ConstraintViolation("objects (0,2) and (0,1,2) must agree")
         for k in range(self.max_degree + 1):
-            if not _equal_modp(self.matrix(4, 6, k),
-                               IntMatrix.identity(self.dim(4, k)), p):
+            if not equal_modp(self.matrix(4, 6, k),
+                              IntMatrix.identity(self.dim(4, k)), p):
                 raise ConstraintViolation(f"(0,2)->(0,1,2) is not the identity "
                                           f"in degree {k}")
         for key, pins in self.constraints.items():
@@ -111,14 +107,14 @@ class PosetDiagram:
             if any(e % p for e in m.entries):
                 raise ConstraintViolation(f"{name}: not zero")
         elif kind == "identity":
-            if not _equal_modp(m, IntMatrix.identity(m.rows), p):
+            if not equal_modp(m, IntMatrix.identity(m.rows), p):
                 raise ConstraintViolation(f"{name}: not the identity")
         elif kind == "unit":
             if (m.rows, m.cols) != (1, 1) or m[0, 0] % p != 1:
                 raise ConstraintViolation(f"{name}: not the unit map")
         elif kind == "first_coordinate_projection":
             want = IntMatrix.from_rows([[1] + [0] * (m.cols - 1)])
-            if not _equal_modp(m, want, p):
+            if not equal_modp(m, want, p):
                 raise ConstraintViolation(f"{name}: not the projection of the "
                                           "first coordinate")
         elif kind == "kernel_within":
@@ -186,7 +182,17 @@ def constant_diagram(prime, dim=1, max_degree=0):
     return PosetDiagram(prime, dims, maps, max_degree)
 
 
-def _equal_modp(a, b, p):
+def commutes(first, second, composite, p):
+    """True iff second . first == composite over F_p.
+
+    For a 3-chain a < b < c this compares the route a -> b -> c with the
+    arrow a -> c; it is the functoriality check of :meth:`PosetDiagram.validate`
+    and the complex check of :func:`ecomu3.limits.check_complex`.
+    """
+    return equal_modp(second * first, composite, p)
+
+
+def equal_modp(a, b, p):
     if (a.rows, a.cols) != (b.rows, b.cols):
         return False
     return all((x - y) % p == 0 for x, y in zip(a.entries, b.entries))

@@ -4,7 +4,8 @@ Everything here is arbitrary precision: matrix entries are Python ints, so
 Smith normal form pivoting can blow coefficients up without ever overflowing.
 The sizes that show up in this project (boundary maps of free resolutions,
 cochain complexes over a seven-object poset) stay well under a few hundred
-rows, so no sparse or probabilistic tricks are used.
+rows, so no probabilistic tricks are used; mod-p ranks eliminate sparse rows
+because the cochain differentials are mostly identity and zero blocks.
 
 Conventions
 -----------
@@ -23,8 +24,6 @@ by the columns of V^-1 beyond the rank.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class ShapeMismatch(ValueError):
@@ -160,16 +159,18 @@ class IntMatrix:
         return m
 
 
-@dataclass
 class SNFDecomposition:
-    """A == U * D * V with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+    """A == U * D * V with U, V unimodular and D diagonal, d_i | d_{i+1}.
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
-    invariant_factors: list
+    A plain class rather than a dataclass: importing ``dataclasses`` pulls in
+    ``inspect`` and ``ast``, about 1 MB of resident memory in a process that
+    needs only this module (the robustness sweep).
+    """
+
+    def __init__(self, U, D, V, Uinv, Vinv, invariant_factors):
+        self.U, self.D, self.V = U, D, V
+        self.Uinv, self.Vinv = Uinv, Vinv
+        self.invariant_factors = invariant_factors
 
     @property
     def rank(self):
@@ -429,7 +430,7 @@ def in_column_span(A, b, snf=None):
 
 
 # ---------------------------------------------------------------------------
-# mod-p linear algebra (small dense Gaussian elimination)
+# mod-p linear algebra (Gaussian elimination)
 
 
 def modp_rref(rows, n, p):
@@ -457,11 +458,62 @@ def modp_rref(rows, n, p):
     return mat[:rr], pivots
 
 
+class EchelonBasis:
+    """A row echelon basis over F_p, grown by inserting sparse rows.
+
+    A row is a ``{column: value}`` dict with values in 1..p-1 (zero entries
+    are left out).  Each kept row is scaled to 1 at its leading (smallest)
+    column and stored, without that entry, under the column; stored rows are
+    never changed afterwards, so ``copy`` only copies the pivot table.
+    ``insert`` is forward elimination of one row against the basis and is
+    the one rank primitive: the rank of a set of rows is the number of
+    insertions that keep a row.
+    """
+
+    __slots__ = ("p", "pivots")
+
+    def __init__(self, p, pivots=None):
+        self.p = p
+        self.pivots = {} if pivots is None else pivots
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def copy(self):
+        return EchelonBasis(self.p, dict(self.pivots))
+
+    def insert(self, row):
+        """Reduce ``row`` against the basis; keep it iff it is independent."""
+        p, pivots = self.p, self.pivots
+        row = dict(row)
+        while row:
+            col = min(row)
+            c = row.pop(col)
+            tail = pivots.get(col)
+            if tail is None:
+                if c != 1:
+                    inv = pow(c, -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+                pivots[col] = row
+                return True
+            for j, v in tail.items():
+                e = (row.get(j, 0) - c * v) % p
+                if e:
+                    row[j] = e
+                else:
+                    del row[j]
+        return False
+
+    def insert_all(self, rows):
+        """Insert every row; the number kept."""
+        return sum(self.insert(row) for row in rows)
+
+
 def modp_rank(A, p):
-    if A.rows == 0 or A.cols == 0:
-        return 0
-    _, pivots = modp_rref(A.to_lists(), A.cols, p)
-    return len(pivots)
+    n, e = A.cols, A.entries
+    return EchelonBasis(p).insert_all(
+        {j: v % p for j, v in enumerate(e[i * n:(i + 1) * n]) if v % p}
+        for i in range(A.rows))
 
 
 def modp_solve(A, b, p):

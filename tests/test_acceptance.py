@@ -47,7 +47,6 @@ from ecomu3.limits import cosimplicial_complex, higher_limits, lim2_vanishing_ch
 from ecomu3.linalg import IntMatrix, smith_normal_form
 from ecomu3.poset import PosetSn
 from ecomu3.resolution import group_cohomology
-from ecomu3.robustness import sweep
 from ecomu3.serre import (assemble_total, forced_differentials,
                           run_to_e_infinity, serre_e2_over_bg,
                           series_from_graded, solve_unique)
@@ -452,9 +451,8 @@ def test_criterion_8_palindromic_series(resolution, flbar3_reps, fl3xfl3_reps):
     ok("8d (palindromic series for the four closed manifolds)")
 
 
-def test_criterion_8_robustness(diagram2, diagram3):
-    for d in (diagram2, diagram3):
-        results = sweep(d)
+def test_criterion_8_robustness(sweeps):
+    for d, results in sweeps:
         assert results
         for key, res in results.items():
             assert res["stable"], (d.prime, key)

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecomu3.linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
                            kernel_basis, kernel_basis_reduced, modp_kernel_basis,
-                           modp_rank, modp_solve, smith_normal_form, solve)
+                           modp_rank, modp_rref, modp_solve, smith_normal_form,
+                           solve)
 
 
 def det(M):
@@ -136,3 +137,20 @@ def test_shape_errors():
         IntMatrix(2, 2, [1, 2, 3])
     with pytest.raises(ShapeMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+@st.composite
+def _modp_matrices(draw):
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.just(0) if draw(st.integers(0, 3)) == 0 else st.integers(-9, 9)
+    return IntMatrix(rows, cols, draw(st.lists(entry, min_size=rows * cols,
+                                               max_size=rows * cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modp_matrices(), st.sampled_from([2, 3, 5, 7]))
+@example(IntMatrix.zero(0, 4), 2)
+@example(IntMatrix.zero(4, 0), 3)
+@example(IntMatrix.zero(3, 5), 5)
+def test_modp_rank_matches_rref(A, p):
+    assert modp_rank(A, p) == len(modp_rref(A.to_lists(), A.cols, p)[1])
