@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
-                     modp_rank, smith_normal_form)
+                     invariant_factors, modp_rank)
 
 
 @dataclass(frozen=True)
@@ -128,42 +128,19 @@ def cohomology_at(d_in, d_out):
             f"d_out starts from Z^{d_out.cols}")
     if d_in.cols and d_out.rows and not (d_out * d_in).is_zero():
         raise CompositionNonzero("d_out * d_in != 0")
+    return cohomology_from_factors(d_in.rows, len(invariant_factors(d_out)),
+                                   invariant_factors(d_in))
 
-    n = d_in.rows
-    if n == 0:
-        return AbelianGroup()
 
-    if d_out.rows == 0:
-        kernel = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    else:
-        kernel = smith_normal_form(d_out).kernel_basis()
-    k = len(kernel)
-    if k == 0:
-        return AbelianGroup()
-    K = IntMatrix.from_columns(kernel, rows=n)
-    if d_in.cols == 0:
-        return AbelianGroup(free_rank=k)
+def cohomology_from_factors(n, rank_out, factors_in):
+    """ker(d_out)/im(d_in) on Z^n from rk d_out and the invariant factors of d_in.
 
-    # express im(d_in) in kernel coordinates; exact because the kernel
-    # lattice is saturated and contains the image
-    ksnf = smith_normal_form(K)
-    cols = []
-    for j in range(d_in.cols):
-        b = d_in.column(j)
-        c = ksnf.Uinv.apply(b)
-        y = [0] * k
-        for i, d in enumerate(ksnf.invariant_factors):
-            if c[i] % d != 0:
-                raise CompositionNonzero("image does not lie in the kernel lattice")
-            y[i] = c[i] // d
-        for i in range(len(ksnf.invariant_factors), n):
-            if c[i] != 0:
-                raise CompositionNonzero("image does not lie in the kernel lattice")
-        cols.append(ksnf.Vinv.apply(y))
-    Y = IntMatrix.from_columns(cols, rows=k)
-    ysnf = smith_normal_form(Y)
-    free = k - ysnf.rank
-    return AbelianGroup.from_cyclic_orders([0] * free + ysnf.invariant_factors)
+    Needs d_out * d_in = 0, which the caller checks.  ker(d_out) is saturated
+    in Z^n (x in Z^n with kx in the kernel is in it), so the whole torsion of
+    Z^n/im(d_in) lies in ker(d_out)/im(d_in): the group is
+    Z^(n - rk d_out - rk d_in) + (+) Z/d_i over the factors d_i > 1 of d_in.
+    """
+    return AbelianGroup(n - rank_out - len(factors_in), factors_in)
 
 
 def cohomology_dim_modp(d_in, d_out, p):

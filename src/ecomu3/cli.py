@@ -31,7 +31,7 @@ import sys
 from importlib import resources
 
 from . import published
-from .abelian import PoincareSeries, mod_p_series
+from .abelian import PoincareSeries, mod_p_series, p_primary
 from .coinvariants import CoinvariantAlgebra, kunneth_decompose
 from .diagonal import invariant_ring_presentation, RelationFailure
 from .diagram import PosetDiagram
@@ -41,7 +41,7 @@ from .limits import bk_assemble, higher_limits, lim2_vanishing_check, NonVanishi
 from .linalg import IntMatrix, smith_normal_form
 from .polyparse import parse_polynomial
 from .report import Report
-from .resolution import free_resolution, group_cohomology
+from .resolution import free_resolution, group_cohomology_table
 from .serre import (Ambiguous, NoSolution, assemble_total, run_to_e_infinity,
                     serre_e2_over_bg, solve_unique)
 
@@ -103,10 +103,13 @@ def cmd_snf(args, report):
         report.add_input_hash(args.matrix, text)
     else:
         text = args.matrix
-    data = json.loads(text)
-    m = IntMatrix.from_rows(data) if data else IntMatrix.zero(0, 0)
+    try:
+        m = IntMatrix.from_int_rows(json.loads(text))
+    except ValueError as exc:   # malformed JSON, a non-integer entry, ragged rows
+        raise CommandError(f"bad matrix: {exc}")
     snf = smith_normal_form(m)
-    assert snf.U * snf.D * snf.V == m
+    if snf.U * snf.D * snf.V != m:
+        raise CommandError("internal check failed: U * D * V != matrix")
     report.add_result("invariant_factors", snf.invariant_factors)
     report.add_result("U", snf.U.to_lists())
     report.add_result("D", snf.D.to_lists())
@@ -127,11 +130,10 @@ def cmd_grpcoh(args, report):
     module = standard_modules(3)[name]
     rows = []
     expected = published.S3_COHOMOLOGY[name]
-    for d in range(args.max_degree + 1):
-        g = group_cohomology(res, module, d, prime=args.prime)
+    table = group_cohomology_table(res, module, args.max_degree, prime=args.prime)
+    for d, g in enumerate(table):
         want = expected(d)
         if args.prime:
-            from .abelian import p_primary
             want = p_primary(want, args.prime)
         if g != want:
             raise CommandError(

@@ -194,7 +194,8 @@ class CoinvariantAlgebra:
                 nf = self.normal_form(self.permute(g, {b: 1}))
                 col = [0] * len(basis)
                 for m, c in nf.items():
-                    assert isinstance(c, int) or c.denominator == 1
+                    if not (isinstance(c, int) or c.denominator == 1):
+                        raise ValueError(f"non-integral coefficient {c} in {nf}")
                     col[index[m]] = int(c)
                 cols.append(col)
             gens[g] = IntMatrix.from_columns(cols, rows=len(basis)) if basis \

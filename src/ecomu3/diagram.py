@@ -156,7 +156,7 @@ class PosetDiagram:
         for rec in obj["maps"]:
             per = {}
             for k, data in rec["degrees"].items():
-                per[int(k)] = IntMatrix.from_rows(data)
+                per[int(k)] = IntMatrix.from_int_rows(data)
             maps[(rec["from"], rec["to"])] = per
         constraints = {}
         for rec in obj.get("constraints", []):

@@ -121,7 +121,8 @@ def symmetric_group(n):
     swap = tuple([1, 0] + list(range(2, n)))
     gens = [cycle, swap] if n > 2 else [swap]
     els = generate(gens)
-    assert len(els) == _factorial(n)
+    if len(els) != _factorial(n):
+        raise RuntimeError(f"generated {len(els)} elements, not {n}!")
     return FiniteGroup(els, gens, name=f"S{n}")
 
 

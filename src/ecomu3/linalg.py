@@ -12,10 +12,14 @@ Conventions
 A matrix with ``rows`` rows and ``cols`` columns represents a homomorphism
 Z^cols -> Z^rows acting on column vectors.  The Smith decomposition follows
 ``A == U * D * V`` with U, V unimodular, so the integer kernel of A is spanned
-by the columns of V^-1 beyond the rank.
+by the columns of V^-1 beyond the rank.  One elimination serves three
+callers and tracks only the transforms each reads: ``smith_normal_form``
+all four, ``kernel_basis`` V^-1 alone and ``invariant_factors`` none.
 
 >>> A = IntMatrix.from_rows([[2, 0], [0, 3]])
 >>> smith_normal_form(A).invariant_factors
+[1, 6]
+>>> invariant_factors(A)
 [1, 6]
 >>> smith_normal_form(IntMatrix.identity(3)).invariant_factors
 [1, 1, 1]
@@ -42,7 +46,7 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ShapeMismatch("negative dimensions")
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ShapeMismatch(
                 f"expected {rows * cols} entries, got {len(entries)}")
@@ -59,6 +63,19 @@ class IntMatrix:
             if len(r) != cols:
                 raise ShapeMismatch("ragged rows")
         return cls(rows, cols, [e for r in data for e in r])
+
+    @classmethod
+    def from_int_rows(cls, data):
+        """``from_rows`` for parsed JSON: a float or a bool (JSON ``true`` is an
+        ``int`` subclass) raises ValueError instead of being truncated."""
+        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+            raise ValueError("a matrix is a list of rows")
+        for i, r in enumerate(data):
+            for j, e in enumerate(r):
+                if type(e) is not int:
+                    raise ValueError(
+                        f"entry {e!r} at row {i}, column {j} is not an integer")
+        return cls.from_rows(data)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -90,7 +107,7 @@ class IntMatrix:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return list(self.entries[j::self.cols])
 
     def to_lists(self):
         return [self.row(i) for i in range(self.rows)]
@@ -153,7 +170,7 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        m = cls.from_rows(obj["data"]) if obj["data"] else cls.zero(obj["rows"], obj["cols"])
+        m = cls.from_int_rows(obj["data"]) if obj["data"] else cls.zero(obj["rows"], obj["cols"])
         if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
             raise ShapeMismatch("json shape disagrees with data")
         return m
@@ -183,86 +200,82 @@ class SNFDecomposition:
 
 
 class _Worker:
-    """Mutable elimination state: D plus the four unimodular accumulators."""
+    """Mutable elimination state: D plus the unimodular transforms the caller reads.
 
-    def __init__(self, A):
-        self.m = A.rows
-        self.n = A.cols
-        self.D = [A.row(i) for i in range(A.rows)]
-        self.U = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-        self.Uinv = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-        self.V = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.Vinv = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+    ``full`` tracks U, U^-1 and V; ``vinv`` tracks V^-1.  An untracked
+    transform is None and costs nothing, and the pivot sequence never depends
+    on what is tracked, so every caller sees the same elimination.
+    """
+
+    def __init__(self, A, full, vinv):
+        self.m = m = A.rows
+        self.n = n = A.cols
+        self.D = [A.row(i) for i in range(m)]
+        self.U = _identity_rows(m) if full else None
+        self.Uinv = _identity_rows(m) if full else None
+        self.V = _identity_rows(n) if full else None
+        self.Vinv = _identity_rows(n) if vinv else None
 
     # Row operations transform D := E * D, so U picks up E^-1 on the right
     # (column ops) and Uinv picks up E on the left (row ops).
 
     def row_add(self, i, j, c):
-        D, U, Uinv = self.D, self.U, self.Uinv
-        Dj = D[j]
-        Di = D[i]
-        for t in range(self.n):
-            Di[t] += c * Dj[t]
-        for r in range(self.m):
-            U[r][j] -= c * U[r][i]
-        Uii = Uinv[i]
-        Uij = Uinv[j]
-        for t in range(self.m):
-            Uii[t] += c * Uij[t]
+        D = self.D
+        D[i] = [a + c * b for a, b in zip(D[i], D[j])]
+        if self.U is not None:
+            for r in self.U:
+                r[j] -= c * r[i]
+            Uinv = self.Uinv
+            Uinv[i] = [a + c * b for a, b in zip(Uinv[i], Uinv[j])]
 
     def row_swap(self, i, j):
         if i == j:
             return
         self.D[i], self.D[j] = self.D[j], self.D[i]
-        for r in range(self.m):
-            self.U[r][i], self.U[r][j] = self.U[r][j], self.U[r][i]
-        self.Uinv[i], self.Uinv[j] = self.Uinv[j], self.Uinv[i]
+        if self.U is not None:
+            for r in self.U:
+                r[i], r[j] = r[j], r[i]
+            self.Uinv[i], self.Uinv[j] = self.Uinv[j], self.Uinv[i]
 
     def row_negate(self, i):
-        Di = self.D[i]
-        for t in range(self.n):
-            Di[t] = -Di[t]
-        for r in range(self.m):
-            self.U[r][i] = -self.U[r][i]
-        Ui = self.Uinv[i]
-        for t in range(self.m):
-            Ui[t] = -Ui[t]
+        self.D[i] = [-a for a in self.D[i]]
+        if self.U is not None:
+            for r in self.U:
+                r[i] = -r[i]
+            self.Uinv[i] = [-a for a in self.Uinv[i]]
 
     # Column operations transform D := D * F, so V picks up F^-1 on the left
     # (row ops) and Vinv picks up F on the right (column ops).
 
     def col_add(self, j, i, c):
         """col_j += c * col_i."""
-        for r in range(self.m):
-            self.D[r][j] += c * self.D[r][i]
-        Vi = self.V[i]
-        Vj = self.V[j]
-        for t in range(self.n):
-            Vi[t] -= c * Vj[t]
-        for r in range(self.n):
-            self.Vinv[r][j] += c * self.Vinv[r][i]
+        for r in self.D:
+            r[j] += c * r[i]
+        if self.V is not None:
+            V = self.V
+            V[i] = [a - c * b for a, b in zip(V[i], V[j])]
+        if self.Vinv is not None:
+            for r in self.Vinv:
+                r[j] += c * r[i]
 
     def col_swap(self, i, j):
         if i == j:
             return
-        for r in range(self.m):
-            self.D[r][i], self.D[r][j] = self.D[r][j], self.D[r][i]
-        self.V[i], self.V[j] = self.V[j], self.V[i]
-        for r in range(self.n):
-            self.Vinv[r][i], self.Vinv[r][j] = self.Vinv[r][j], self.Vinv[r][i]
-
-    def col_negate(self, j):
-        for r in range(self.m):
-            self.D[r][j] = -self.D[r][j]
-        Vj = self.V[j]
-        for t in range(self.n):
-            Vj[t] = -Vj[t]
-        for r in range(self.n):
-            self.Vinv[r][j] = -self.Vinv[r][j]
+        for r in self.D:
+            r[i], r[j] = r[j], r[i]
+        if self.V is not None:
+            self.V[i], self.V[j] = self.V[j], self.V[i]
+        if self.Vinv is not None:
+            for r in self.Vinv:
+                r[i], r[j] = r[j], r[i]
 
 
-def smith_normal_form(A):
-    """Smith normal form with full transform tracking.
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _eliminate(A, full, vinv):
+    """Diagonalize A; returns the worker (D diagonal) and the rank.
 
     Each stage re-selects the smallest nonzero absolute value in the trailing
     submatrix (ties broken by (row, col), so the decomposition is
@@ -272,23 +285,25 @@ def smith_normal_form(A):
     it squares entry sizes on unlucky dense inputs -- and it makes the
     divisibility chain hold with no separate pass.
     """
-    w = _Worker(A)
+    w = _Worker(A, full, vinv)
     m, n, D = w.m, w.n, w.D
 
     k = 0
     while k < min(m, n):
-        best = None
+        # the first (row, col) of least absolute value; 1 cannot be beaten
+        low, pi, pj = 0, 0, 0
         for i in range(k, m):
             Di = D[i]
             for j in range(k, n):
-                e = Di[j]
-                if e:
-                    key = (abs(e), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+                e = abs(Di[j])
+                if e and (not low or e < low):
+                    low, pi, pj = e, i, j
+                    if e == 1:
+                        break
+            if low == 1:
+                break
+        if not low:
             break
-        _, pi, pj = best
         w.row_swap(k, pi)
         w.col_swap(k, pj)
         a = D[k][k]
@@ -308,41 +323,46 @@ def smith_normal_form(A):
         # pivot must divide the trailing submatrix or the invariant factors
         # (and the entry sizes of later stages) go wrong
         pull = None
-        for i in range(k + 1, m):
-            Di = D[i]
-            for j in range(k + 1, n):
-                if Di[j] % a:
+        if low != 1:
+            for i in range(k + 1, m):
+                Di = D[i]
+                if any(Di[j] % a for j in range(k + 1, n)):
                     pull = i
                     break
-            if pull is not None:
-                break
         if pull is not None:
             w.row_add(k, pull, 1)
             continue
         if a < 0:
             w.row_negate(k)
         k += 1
+    return w, k
 
-    r = k
-    factors = [D[i][i] for i in range(r)]
+
+def smith_normal_form(A):
+    """Smith normal form with full transform tracking."""
+    w, r = _eliminate(A, full=True, vinv=True)
+    m, n, D = w.m, w.n, w.D
     return SNFDecomposition(
         U=IntMatrix.from_rows(w.U) if m else IntMatrix.zero(0, 0),
-        D=IntMatrix.from_rows([[D[i][j] for j in range(n)] for i in range(m)])
-        if m * n else IntMatrix.zero(m, n),
+        D=IntMatrix.from_rows(D) if m * n else IntMatrix.zero(m, n),
         V=IntMatrix.from_rows(w.V) if n else IntMatrix.zero(0, 0),
         Uinv=IntMatrix.from_rows(w.Uinv) if m else IntMatrix.zero(0, 0),
         Vinv=IntMatrix.from_rows(w.Vinv) if n else IntMatrix.zero(0, 0),
-        invariant_factors=factors,
+        invariant_factors=[D[i][i] for i in range(r)],
     )
 
 
+def invariant_factors(A):
+    """The nonzero invariant factors of A (its rank is their count); no transforms."""
+    w, r = _eliminate(A, full=False, vinv=False)
+    return [w.D[i][i] for i in range(r)]
+
+
 def kernel_basis(A):
-    """Basis of the integer kernel of A (empty matrix conventions apply)."""
-    if A.cols == 0:
-        return []
-    if A.rows == 0:
-        return [c for c in IntMatrix.identity(A.cols).to_lists()]
-    return smith_normal_form(A).kernel_basis()
+    """Basis of ker(A): the columns of V^-1 beyond the rank (only V^-1 is
+    tracked).  The kernel of a 0 x n map is Z^n, that of an n x 0 map 0."""
+    w, r = _eliminate(A, full=False, vinv=True)
+    return [[row[j] for row in w.Vinv] for j in range(r, w.n)]
 
 
 def kernel_basis_reduced(A):
@@ -401,18 +421,11 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def rank(A):
-    if A.rows == 0 or A.cols == 0:
-        return 0
-    return smith_normal_form(A).rank
-
-
-def solve(A, b, snf=None):
+def solve(A, b):
     """One integer solution x of A x = b, or None if there is none."""
     if A.rows == 0:
         return [0] * A.cols
-    if snf is None:
-        snf = smith_normal_form(A)
+    snf = smith_normal_form(A)
     c = snf.Uinv.apply(b)
     y = [0] * A.cols
     for i, d in enumerate(snf.invariant_factors):
@@ -423,10 +436,6 @@ def solve(A, b, snf=None):
         if c[i] != 0:
             return None
     return snf.Vinv.apply(y) if A.cols else []
-
-
-def in_column_span(A, b, snf=None):
-    return solve(A, b, snf=snf) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -26,26 +26,15 @@ import json
 import os
 import tempfile
 
-from .abelian import AbelianGroup, cohomology_at, cohomology_dim_modp, p_primary
-from .linalg import IntMatrix, kernel_basis_reduced
+from .abelian import AbelianGroup, cohomology_from_factors, p_primary
+from .linalg import (CompositionNonzero, IntMatrix, _xgcd, invariant_factors,
+                     kernel_basis_reduced, modp_rank)
 
 ALGORITHM_VERSION = 2
 
 
 class ResolutionFailure(RuntimeError):
     """Exactness or equivariance verification failed; indicates a bug."""
-
-
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 class ColumnLattice:
@@ -105,9 +94,6 @@ class FreeResolution:
     def length(self):
         return len(self.ranks) - 1
 
-    def module_dim(self, k):
-        return self.group.order * self.ranks[k]
-
     def act(self, g, vec, rank):
         """The regular-representation action of g on (ZG)^rank, by indices."""
         n = self.group.order
@@ -139,17 +125,22 @@ class FreeResolution:
         return m
 
     def verify(self):
-        """Boundary-squared, equivariance and exactness at every inner degree."""
-        aug = self.augmentation()
+        """Boundary-squared, equivariance and exactness at every inner degree.
+
+        Each composite is multiplied once, and each boundary eliminated once
+        for its invariant factors: d_k is the outgoing map at degree k and
+        the incoming one at degree k - 1.
+        """
+        maps = [self.augmentation()] + [self.boundary(k)
+                                        for k in range(1, self.length + 1)]
         for k in range(1, self.length + 1):
-            bk = self.boundary(k)
-            prev = aug if k == 1 else self.boundary(k - 1)
-            if not (prev * bk).is_zero():
+            if not (maps[k - 1] * maps[k]).is_zero():
                 raise ResolutionFailure(f"d_{k-1} d_{k} != 0")
             self._verify_equivariance(k)
-        for k in range(0, self.length):
-            d_out = aug if k == 0 else self.boundary(k)
-            h = cohomology_at(self.boundary(k + 1), d_out)
+        factors = [invariant_factors(m) for m in maps]
+        for k in range(self.length):
+            h = cohomology_from_factors(maps[k].cols, len(factors[k]),
+                                        factors[k + 1])
             if not h.is_trivial:
                 raise ResolutionFailure(f"not exact at degree {k}: {h}")
         return True
@@ -159,14 +150,13 @@ class FreeResolution:
         # generator permutes the columns the way the regular rep says
         n = self.group.order
         bk = self.boundary(k)
+        cols = [bk.column(c) for c in range(bk.cols)]
         for g in self.group.generators:
             row_of = self.group.table[self.group.index[g]]
             for j in range(self.ranks[k]):
                 for h in range(n):
-                    src = bk.column(j * n + h)
-                    expect = self.act(g, src, self.ranks[k - 1])
-                    got = bk.column(j * n + row_of[h])
-                    if expect != got:
+                    expect = self.act(g, cols[j * n + h], self.ranks[k - 1])
+                    if expect != cols[j * n + row_of[h]]:
                         raise ResolutionFailure(f"boundary {k} not equivariant")
 
     def hom_differential(self, module, k):
@@ -207,6 +197,9 @@ class FreeResolution:
             raise ResolutionFailure("cache written by another algorithm version")
         if obj["group"] != group.descriptor():
             raise ResolutionFailure("cache is for a different group")
+        if any(type(x) is not int for step in obj["generators"]
+               for v in step for x in v):
+            raise ResolutionFailure("cache holds a non-integer generator entry")
         return cls(group, obj["ranks"], obj["generators"])
 
 
@@ -272,31 +265,42 @@ def group_cohomology(resolution, module, degree, prime=None):
     """
     if degree < 0:
         raise ValueError("negative degree")
-    if resolution.length < degree + 1:
+    return group_cohomology_table(resolution, module, degree, prime=prime)[degree]
+
+
+def _hom_differentials(resolution, module, max_degree):
+    """[delta^1, ..., delta^(max_degree + 1)]: what H^0 .. H^max_degree need."""
+    if resolution.length < max_degree + 1:
         raise ResolutionFailure(
-            f"resolution of length {resolution.length} cannot see degree {degree}")
-    d_out = resolution.hom_differential(module, degree + 1)
-    if degree == 0:
-        d_in = IntMatrix.zero(resolution.ranks[0] * module.rank, 0)
-    else:
-        d_in = resolution.hom_differential(module, degree)
-    g = cohomology_at(d_in, d_out)
-    return p_primary(g, prime) if prime is not None else g
+            f"resolution of length {resolution.length} cannot see degree {max_degree}")
+    return [resolution.hom_differential(module, k)
+            for k in range(1, max_degree + 2)]
 
 
 def group_cohomology_table(resolution, module, max_degree, prime=None):
-    return [group_cohomology(resolution, module, d, prime=prime)
-            for d in range(max_degree + 1)]
+    """[H^0, ..., H^max_degree](G; M), p-primary parts when a prime is given.
+
+    Each differential is built, multiplied with the next and eliminated once.
+    """
+    deltas = _hom_differentials(resolution, module, max_degree)
+    for k in range(1, len(deltas)):
+        if not (deltas[k] * deltas[k - 1]).is_zero():
+            raise CompositionNonzero(f"delta^{k + 1} delta^{k} != 0")
+    factors = [invariant_factors(d) for d in deltas]
+    table = []
+    for d, delta in enumerate(deltas):
+        g = cohomology_from_factors(delta.cols, len(factors[d]),
+                                    factors[d - 1] if d else [])
+        table.append(p_primary(g, prime) if prime is not None else g)
+    return table
 
 
-def group_cohomology_dim_modp(resolution, module, degree, p):
-    """dim_Fp H^degree(G; M (x) F_p) -- cohomology with reduced coefficients."""
-    d_out = resolution.hom_differential(module, degree + 1)
-    if degree == 0:
-        d_in = IntMatrix.zero(resolution.ranks[0] * module.rank, 0)
-    else:
-        d_in = resolution.hom_differential(module, degree)
-    return cohomology_dim_modp(d_in, d_out, p)
+def group_cohomology_dims_modp(resolution, module, max_degree, p):
+    """[dim_Fp H^d(G; M (x) F_p) for d <= max_degree], reduced coefficients."""
+    deltas = _hom_differentials(resolution, module, max_degree)
+    ranks = [modp_rank(d, p) for d in deltas]
+    return [delta.cols - ranks[d] - (ranks[d - 1] if d else 0)
+            for d, delta in enumerate(deltas)]
 
 
 def invariants_degree_zero(module):

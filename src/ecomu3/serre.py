@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, mod_p_series
-from .resolution import group_cohomology, group_cohomology_dim_modp
+from .resolution import group_cohomology_dims_modp, group_cohomology_table
 
 DEFAULT_WINDOW = 16
 DEFAULT_MAX_PAGE = 7
@@ -171,13 +171,13 @@ def cohomology_row(resolution, module, prime, mod_p, window, period):
     periodic cohomology.
     """
     reach = resolution.length - 1
-    values = []
-    for c in range(reach + 1):
-        if mod_p:
-            dim = group_cohomology_dim_modp(resolution, module, c, prime)
-            values.append((0, dim))
-        else:
-            g = group_cohomology(resolution, module, c, prime=prime)
+    if mod_p:
+        values = [(0, dim) for dim in
+                  group_cohomology_dims_modp(resolution, module, reach, prime)]
+    else:
+        values = []
+        for c, g in enumerate(group_cohomology_table(resolution, module, reach,
+                                                     prime=prime)):
             for t in g.torsion:
                 if t != prime:
                     raise RankTooLarge(

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ecomu3.abelian import (AbelianGroup, CompositionNonzero, PoincareSeries,
                             cohomology_at, cohomology_dim_modp, mod_p_series,
                             p_primary, zero_map_from, zero_map_into)
-from ecomu3.linalg import IntMatrix
+from ecomu3.linalg import IntMatrix, kernel_basis
+
+from cohomology_oracle import cohomology_by_kernel_coordinates
 
 
 def test_canonical_form():
@@ -64,6 +67,36 @@ def test_cohomology_matches_modp_dims():
         for p in (2, 3):
             dim = cohomology_dim_modp(d_in, IntMatrix.zero(0, n), p)
             assert dim == g.free_rank + g.p_torsion_count(p)
+
+
+@st.composite
+def _complexes(draw):
+    """(d_in, d_out) with d_out * d_in = 0: d_in = K X for a kernel basis K of
+    d_out, so the invariant factors of X show up as torsion."""
+    n, rows, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    entries = st.integers(-4, 4)
+    d_out = IntMatrix(rows, n, draw(st.lists(entries, min_size=rows * n,
+                                             max_size=rows * n)))
+    kernel = kernel_basis(d_out)
+    x = draw(st.lists(st.lists(entries, min_size=len(kernel),
+                               max_size=len(kernel)),
+                      min_size=cols, max_size=cols))
+    d_in = IntMatrix.from_columns(
+        [[sum(c * v[i] for c, v in zip(xj, kernel)) for i in range(n)]
+         for xj in x], rows=n)
+    return d_in, d_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complexes())
+@example((IntMatrix.zero(0, 3), IntMatrix.zero(2, 0)))
+@example((IntMatrix.zero(4, 0), IntMatrix.zero(0, 4)))
+@example((IntMatrix.from_rows([[2, 0], [0, 6], [0, 0]]),
+          IntMatrix.from_rows([[0, 0, 5]])))
+def test_cohomology_matches_kernel_coordinates_oracle(complex_):
+    d_in, d_out = complex_
+    assert cohomology_at(d_in, d_out) == \
+        cohomology_by_kernel_coordinates(d_in, d_out)
 
 
 def test_mod_p_series_examples():

@@ -1,6 +1,10 @@
 """The command-line surface: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,34 @@ def test_snf(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["results"]["invariant_factors"] == [1, 6]
+
+
+@pytest.mark.parametrize("matrix", ["[[2.5, 1], [true, 3]]", "[[2, 1], [true, 3]]",
+                                    "[[2, 0], [0, 3.0]]", "[[1, 2], [3]]",
+                                    "[[1, 2]", '{"a": 1}'])
+def test_snf_rejects_bad_input(capsys, matrix):
+    code, out, err = run(capsys, "snf", matrix)
+    assert code != 0 and out == ""
+    assert err.startswith("error: bad matrix") and err.count("\n") == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv", [["snf", "[[2,0],[0,3]]"],
+                                  ["grpcoh", "S3", "trivial", "6"]])
+def test_reports_same_under_python_O(tmp_path, argv):
+    # -O strips assert statements, so no validation may rest on one
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               ECOMU3_CACHE_DIR=str(tmp_path / "cache"))
+    reports = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "ecomu3.cli", "--format", "json", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(scrub_timings(proc.stdout))
+    assert reports[0] == reports[1]
 
 
 def test_grpcoh_trivial(capsys):

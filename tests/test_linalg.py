@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ecomu3.linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
-                           kernel_basis, kernel_basis_reduced, modp_kernel_basis,
-                           modp_rank, modp_rref, modp_solve, smith_normal_form,
-                           solve)
+                           invariant_factors, kernel_basis, kernel_basis_reduced,
+                           modp_kernel_basis, modp_rank, modp_rref, modp_solve,
+                           smith_normal_form, solve)
 
 
 def det(M):
@@ -51,12 +51,25 @@ def check_snf(A):
         assert all(x == 0 for x in A.apply(v))
 
 
-def test_snf_thousand_random_matrices():
+def thousand_random_matrices():
     rng = random.Random(20260808)
     for _ in range(1000):
         m, n = rng.randint(0, 6), rng.randint(0, 6)
-        A = IntMatrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
+        yield IntMatrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
+
+
+def test_snf_thousand_random_matrices():
+    for A in thousand_random_matrices():
         check_snf(A)
+
+
+def test_transform_free_paths_match_full_snf():
+    # the same pivot sequence with fewer transforms tracked: identical factors
+    # and an identical kernel basis, not merely equivalent ones
+    for A in thousand_random_matrices():
+        s = smith_normal_form(A)
+        assert invariant_factors(A) == s.invariant_factors
+        assert kernel_basis(A) == s.kernel_basis()
 
 
 @settings(max_examples=120, deadline=None)
@@ -130,6 +143,20 @@ def test_modp_ops():
     assert x is not None and all((a - b) % 5 == 0
                                  for a, b in zip(A.apply(x), [1, 0]))
     assert modp_solve(IntMatrix.from_rows([[2, 4]]), [1], 2) is None
+
+
+def test_json_entries_must_be_ints():
+    assert IntMatrix.from_int_rows([[2, -1], [0, 3]]) == \
+        IntMatrix.from_rows([[2, -1], [0, 3]])
+    assert IntMatrix.from_int_rows([]) == IntMatrix.zero(0, 0)
+    for bad in ([[2.5, 1], [1, 3]], [[2, 1], [True, 3]], [[2.0]], [["2"]],
+                {"data": [[1]]}, [1, 2]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_int_rows(bad)
+    with pytest.raises(ValueError):
+        IntMatrix.from_json({"rows": 1, "cols": 2, "data": [[1, False]]})
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert IntMatrix.from_json(m.to_json()) == m
 
 
 def test_shape_errors():

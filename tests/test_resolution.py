@@ -10,7 +10,7 @@ import pytest
 from ecomu3 import published
 from ecomu3.abelian import AbelianGroup
 from ecomu3.groups import cyclic_group, symmetric_group, trivial_module
-from ecomu3.resolution import (ResolutionFailure, free_resolution,
+from ecomu3.resolution import (FreeResolution, ResolutionFailure, free_resolution,
                                group_cohomology, group_cohomology_table,
                                invariants_degree_zero, periodicity_verify)
 
@@ -34,6 +34,24 @@ def test_s3_resolution_verifies(resolution):
     assert resolution.ranks[0] == 1
     assert max(resolution.ranks) <= 13
     resolution.verify()
+
+
+@pytest.mark.parametrize("defect, homology", [("dropped", "Z"),
+                                               ("doubled", "Z/2")])
+def test_verify_rejects_non_exact(defect, homology):
+    # The last generator at the top degree is not in the span of the other
+    # orbits, so losing it (a rank defect) or keeping only twice it (a Z/2
+    # that only the invariant factors see) breaks exactness one degree down.
+    group = symmetric_group(3)
+    good = free_resolution(group, 4)
+    *top, last = good.generator_vectors[-1]
+    if defect == "doubled":
+        top.append([2 * x for x in last])
+    bad = FreeResolution(group, good.ranks[:-1] + [len(top)],
+                         good.generator_vectors[:-1] + [top])
+    with pytest.raises(ResolutionFailure,
+                       match=f"not exact at degree 3: {homology}$"):
+        bad.verify()
 
 
 def test_boundary_squared_zero(resolution):
