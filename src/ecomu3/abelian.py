@@ -18,6 +18,7 @@ AbelianGroup(free_rank=5, torsion=[])
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
                      invariant_factors, modp_rank)
@@ -153,9 +154,13 @@ def cohomology_dim_modp(d_in, d_out, p):
     return dim_ker - rk_im
 
 
+def is_prime(p):
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 def p_primary(g, p):
     """Free part plus p-primary torsion: the group localized at p."""
-    if p < 2 or any(p % q == 0 for q in range(2, p) if q * q <= p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     orders = [0] * g.free_rank
     for t in g.torsion:

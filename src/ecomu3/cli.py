@@ -13,9 +13,10 @@ engines::
     ecom-u3        the end-to-end homotopy-colimit answer at a prime
     rational-ring  the rational cohomology ring presentation
 
-Global flags: --format json|text, --cache-dir, --no-cache, --prime,
---max-degree where meaningful.  The cache directory may also be set through
-the ECOMU3_CACHE_DIR environment variable; the flag wins.
+Global flag: --format json|text, before or after the subcommand; --prime
+and --max-degree where meaningful.  Nothing is written to disk: every
+subcommand that needs the free resolution builds and verifies it.  The
+argument parser and the module catalog are built once per process.
 
 Exit status is 0 only if every internal validation passed; comparisons
 against published values fail hard unless the mismatch is recorded as a
@@ -28,10 +29,11 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from importlib import resources
 
 from . import published
-from .abelian import PoincareSeries, mod_p_series, p_primary
+from .abelian import PoincareSeries, is_prime, mod_p_series, p_primary
 from .coinvariants import CoinvariantAlgebra, kunneth_decompose
 from .diagonal import invariant_ring_presentation, RelationFailure
 from .diagram import PosetDiagram
@@ -39,7 +41,7 @@ from .groups import standard_modules, symmetric_group, resolve_module_name
 from .koszul import u3t2_cohomology
 from .limits import bk_assemble, higher_limits, lim2_vanishing_check, NonVanishingLim2
 from .linalg import IntMatrix, smith_normal_form
-from .polyparse import parse_polynomial
+from .polyparse import ParseError, parse_polynomial
 from .report import Report
 from .resolution import free_resolution, group_cohomology_table
 from .serre import (Ambiguous, NoSolution, assemble_total, run_to_e_infinity,
@@ -54,17 +56,20 @@ class CommandError(RuntimeError):
         self.code = code
 
 
-def default_cache_dir():
-    env = os.environ.get("ECOMU3_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return os.path.join(base, "ecomu3")
+def get_resolution():
+    return free_resolution(symmetric_group(3), RESOLUTION_LENGTH)
 
 
-def get_resolution(args):
-    cache = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    return free_resolution(symmetric_group(3), RESOLUTION_LENGTH, cache_dir=cache)
+def _check_prime(prime):
+    if prime is not None and not is_prime(prime):
+        raise CommandError(f"--prime {prime} is not prime")
+
+
+def _parse_poly(text):
+    try:
+        return parse_polynomial(text, n=3)
+    except ParseError as exc:
+        raise CommandError(f"bad polynomial {text!r}: {exc}")
 
 
 def load_config(name_or_path):
@@ -123,10 +128,11 @@ def cmd_grpcoh(args, report):
         name = resolve_module_name(args.module)
     except KeyError:
         raise CommandError(f"unknown module {args.module!r}")
-    if args.max_degree > RESOLUTION_LENGTH - 1:
-        raise CommandError(f"max degree {args.max_degree} beyond the bundled "
-                           f"resolution reach {RESOLUTION_LENGTH - 1}")
-    res = get_resolution(args)
+    if not 0 <= args.max_degree <= RESOLUTION_LENGTH - 1:
+        raise CommandError(f"max degree {args.max_degree} outside the bundled "
+                           f"resolution reach 0..{RESOLUTION_LENGTH - 1}")
+    _check_prime(args.prime)
+    res = get_resolution()
     module = standard_modules(3)[name]
     rows = []
     expected = published.S3_COHOMOLOGY[name]
@@ -146,14 +152,15 @@ def cmd_grpcoh(args, report):
 def cmd_flag(args, report):
     algebra = CoinvariantAlgebra(3)
     if args.flag_op == "nf":
-        poly = parse_polynomial(args.poly, n=3)
-        nf = algebra.normal_form(poly)
+        nf = algebra.normal_form(_parse_poly(args.poly))
         report.add_result("normal_form", _poly_out(nf))
     elif args.flag_op == "mul":
-        a = algebra.normal_form(parse_polynomial(args.poly, n=3))
-        b = algebra.normal_form(parse_polynomial(args.poly2, n=3))
+        a = algebra.normal_form(_parse_poly(args.poly))
+        b = algebra.normal_form(_parse_poly(args.poly2))
         report.add_result("product", _poly_out(algebra.multiply(a, b)))
     elif args.flag_op == "rep":
+        if args.degree < 0:
+            raise CommandError("flag rep needs a degree >= 0")
         rep = algebra.degree_representation(args.degree)
         out = {}
         for g in rep.group.generators:
@@ -163,7 +170,10 @@ def cmd_flag(args, report):
         report.add_result("representation", out)
         report.add_result("character", rep.character())
     elif args.flag_op == "kunneth":
-        names = kunneth_decompose(args.degree)
+        try:
+            names = kunneth_decompose(args.degree)
+        except ValueError as exc:       # the degree is out of range
+            raise CommandError(f"flag kunneth: {exc}")
         report.add_result("decomposition", names,
                           provenance="identified integrally in the catalog")
     elif args.flag_op == "dims":
@@ -181,7 +191,8 @@ def cmd_serre(args, report):
     prime = args.prime
     if prime is None:
         raise CommandError("serre needs --prime")
-    res = get_resolution(args)
+    _check_prime(prime)
+    res = get_resolution()
     reps = fiber_reps_from_config(config)
     page = serre_e2_over_bg(res, reps, prime)
     try:
@@ -260,12 +271,19 @@ def cmd_holim(args, report):
 
 def _load_diagram(args, report):
     if args.diagram:
-        with open(args.diagram) as fh:
-            text = fh.read()
+        try:
+            with open(args.diagram) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CommandError(f"cannot read diagram: {exc}")
         report.add_input_hash(args.diagram, text)
         return PosetDiagram.from_json(json.loads(text))
     name = f"diagram_p{args.prime}.json"
-    text = resources.files("ecomu3.data").joinpath(name).read_text()
+    try:
+        text = resources.files("ecomu3.data").joinpath(name).read_text()
+    except FileNotFoundError:
+        raise CommandError(f"no bundled diagram for --prime {args.prime} "
+                           "(bundled: 2, 3)")
     report.add_input_hash(name, text)
     return PosetDiagram.from_json(json.loads(text))
 
@@ -332,20 +350,17 @@ def cmd_rational_ring(args, report):
 # --- argument plumbing -------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="ecomu3",
         description="exact cohomology of the total space of the classifying "
                     "space for commutativity in U(3)")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    # the global flags are also accepted after the subcommand
+    # the global flag is also accepted after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--cache-dir", default=argparse.SUPPRESS)
-    common.add_argument("--no-cache", action="store_true",
                         default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -361,16 +376,16 @@ def build_parser():
 
     p = sub.add_parser("flag", help="coinvariant algebra operations", parents=[common])
     flag_sub = p.add_subparsers(dest="flag_op", required=True)
-    q = flag_sub.add_parser("nf")
+    q = flag_sub.add_parser("nf", parents=[common])
     q.add_argument("poly")
-    q = flag_sub.add_parser("mul")
+    q = flag_sub.add_parser("mul", parents=[common])
     q.add_argument("poly")
     q.add_argument("poly2")
-    q = flag_sub.add_parser("rep")
+    q = flag_sub.add_parser("rep", parents=[common])
     q.add_argument("degree", type=int)
-    q = flag_sub.add_parser("kunneth")
+    q = flag_sub.add_parser("kunneth", parents=[common])
     q.add_argument("degree", type=int)
-    flag_sub.add_parser("dims")
+    flag_sub.add_parser("dims", parents=[common])
 
     p = sub.add_parser("serre", help="Serre spectral sequence of a fibration config", parents=[common])
     p.add_argument("config", help="bundled name (flbar3, fl3xfl3) or a path")

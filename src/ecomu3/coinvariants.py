@@ -71,17 +71,6 @@ def poly_mul(a, b):
     return out
 
 
-def poly_add(a, b, scale=1):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + scale * c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
 class CoinvariantAlgebra:
     """Exact arithmetic in Z[x_1..x_n]/(sigma_1..sigma_n)."""
 

@@ -121,11 +121,6 @@ class TensorSquare:
         return [[Fraction(el.get(k, 0)) for k in keys] for el in elements]
 
 
-def one_line(perm):
-    """1-based one-line string for a 0-based permutation tuple."""
-    return "".join(str(i + 1) for i in perm)
-
-
 def maj(perm):
     """Major index: the sum of the 1-based descent positions."""
     return sum(i + 1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])

@@ -27,6 +27,7 @@ The bundled catalog for the symmetric group on three letters:
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .linalg import IntMatrix, ShapeMismatch
 
@@ -86,7 +87,7 @@ class FiniteGroup:
         return classes
 
     def descriptor(self):
-        """Stable content string used for cache keys."""
+        """Stable content string; modules combine only over equal descriptors."""
         return f"{self.name}|{sorted(self.elements)!r}|{self.generators!r}"
 
     def __repr__(self):
@@ -271,12 +272,14 @@ def _perm_sign(g):
     return sign
 
 
+@lru_cache(maxsize=None)
 def standard_modules(n):
     """The named module catalog over the symmetric group on n letters.
 
     ``trivial`` and ``sign`` exist for every n; the standard module and both
     tensor modules are bundled for n = 3, where the explicit matrices for the
-    generators sigma = 3-cycle and tau = (1 2) are fixed data.
+    generators sigma = 3-cycle and tau = (1 2) are fixed data.  The catalog
+    is built and verified once per process and shared read-only.
     """
     group = symmetric_group(n)
     catalog = {"trivial": trivial_module(group)}
@@ -295,9 +298,11 @@ def standard_modules(n):
         mm = std.tensor(std)
         mm.name = "standard(x)standard"
         catalog["standard(x)standard"] = mm
-        for mod in catalog.values():
-            mod.verify_homomorphism()
-    return catalog
+    # sign and standard are verified by their constructors, the rest here
+    for name in ("trivial", "standard(x)sign", "standard(x)standard"):
+        if name in catalog:
+            catalog[name].verify_homomorphism()
+    return MappingProxyType(catalog)
 
 
 MODULE_ALIASES = {

@@ -21,16 +21,9 @@ group elements in the boundary.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-
 from .abelian import AbelianGroup, cohomology_from_factors, p_primary
 from .linalg import (CompositionNonzero, IntMatrix, _xgcd, invariant_factors,
                      kernel_basis_reduced, modp_rank)
-
-ALGORITHM_VERSION = 2
 
 
 class ResolutionFailure(RuntimeError):
@@ -183,28 +176,9 @@ class FreeResolution:
                         rows[j * mrank + a][i * mrank + b] = block[a][b]
         return IntMatrix.from_rows(rows)
 
-    def to_json(self):
-        return {
-            "version": ALGORITHM_VERSION,
-            "group": self.group.descriptor(),
-            "ranks": self.ranks,
-            "generators": self.generator_vectors,
-        }
 
-    @classmethod
-    def from_json(cls, group, obj):
-        if obj["version"] != ALGORITHM_VERSION:
-            raise ResolutionFailure("cache written by another algorithm version")
-        if obj["group"] != group.descriptor():
-            raise ResolutionFailure("cache is for a different group")
-        if any(type(x) is not int for step in obj["generators"]
-               for v in step for x in v):
-            raise ResolutionFailure("cache holds a non-integer generator entry")
-        return cls(group, obj["ranks"], obj["generators"])
-
-
-def free_resolution(group, length, generator_order="hermite", cache_dir=None):
-    """Compute (or load) a verified free resolution of Z of the given length.
+def free_resolution(group, length, generator_order="hermite"):
+    """Compute and verify a free resolution of Z of the given length.
 
     ``generator_order`` controls the order in which kernel basis vectors are
     offered to the greedy selector; "hermite" is the deterministic default
@@ -214,18 +188,6 @@ def free_resolution(group, length, generator_order="hermite", cache_dir=None):
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    cache_path = None
-    if cache_dir is not None:
-        key = hashlib.sha256(
-            f"{group.descriptor()}|{length}|{ALGORITHM_VERSION}|{generator_order}"
-            .encode()).hexdigest()[:24]
-        cache_path = os.path.join(cache_dir, f"resolution-{key}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                res = FreeResolution.from_json(group, json.load(fh))
-            if res.length >= length:
-                return res
-
     n = group.order
     res = FreeResolution(group, [1], [])
     current = res.augmentation()
@@ -248,13 +210,6 @@ def free_resolution(group, length, generator_order="hermite", cache_dir=None):
         res.generator_vectors.append([list(v) for v in chosen])
         current = res.boundary(k)
     res.verify()
-
-    if cache_path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(res.to_json(), fh)
-        os.replace(tmp, cache_path)
     return res
 
 

@@ -7,14 +7,9 @@ from ecomu3.robustness import sweep
 
 
 @pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("resolution-cache"))
-
-
-@pytest.fixture(scope="session")
-def resolution(cache_dir):
+def resolution():
     """The shared length-15 resolution over the symmetric group on 3 letters."""
-    return free_resolution(symmetric_group(3), 15, cache_dir=cache_dir)
+    return free_resolution(symmetric_group(3), 15)
 
 
 @pytest.fixture(scope="session")

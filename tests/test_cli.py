@@ -12,11 +12,6 @@ from ecomu3.cli import main
 from ecomu3.report import scrub_timings
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("ECOMU3_CACHE_DIR", str(tmp_path / "cache"))
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -39,15 +34,63 @@ def test_snf_rejects_bad_input(capsys, matrix):
     assert err.startswith("error: bad matrix") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["grpcoh", "S3", "trivial", "-1"],
+    ["flag", "nf", "x1+"],
+    ["flag", "kunneth", "7"],
+    ["grpcoh", "S3", "trivial", "4", "--prime", "4"],
+    ["holim", "limits", "--prime", "5"],
+    ["flag", "mul", "x1", "x1+"],
+    ["flag", "rep", "-1"],
+    ["serre", "flbar3", "--prime", "4"],
+    ["holim", "e2", "--diagram", "no/such/diagram.json"],
+])
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_process(argv, cwd=None, env=None):
+    """(exit code, stdout, stderr) of a fresh ``python -m ecomu3.cli`` process."""
+    proc = subprocess.run([sys.executable, "-m", "ecomu3.cli", *argv],
+                          env=env or dict(os.environ, PYTHONPATH=str(SRC)),
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def scrub(out):
+    """A report without its timings, in either output format."""
+    if out.startswith("{"):
+        return scrub_timings(out)
+    return [line for line in out.splitlines() if not line.startswith("wall time:")]
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    # the parser and the module catalog are shared by every call in a process
+    sequence = [
+        ["--format", "json", "grpcoh", "S3", "standard", "6", "--prime", "3"],
+        ["snf", "[[2,4],[6,8]]", "--format", "json"],
+        ["flag", "rep", "1"],
+        ["--format", "text", "grpcoh", "S3", "sign", "3"],
+        ["flag", "rep", "2", "--format", "json"],
+        ["snf", "[[0,3],[5,0]]"],
+    ]
+    for argv in sequence:
+        code, out, err = run(capsys, *argv)
+        fresh_code, fresh_out, fresh_err = cli_process(argv)
+        assert code == fresh_code == 0 and err == fresh_err == "", argv
+        assert scrub(out) == scrub(fresh_out), argv
 
 
 @pytest.mark.parametrize("argv", [["snf", "[[2,0],[0,3]]"],
                                   ["grpcoh", "S3", "trivial", "6"]])
-def test_reports_same_under_python_O(tmp_path, argv):
+def test_reports_same_under_python_O(argv):
     # -O strips assert statements, so no validation may rest on one
-    env = dict(os.environ, PYTHONPATH=str(SRC),
-               ECOMU3_CACHE_DIR=str(tmp_path / "cache"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     reports = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
@@ -56,6 +99,15 @@ def test_reports_same_under_python_O(tmp_path, argv):
         assert proc.returncode == 0, proc.stderr
         reports.append(scrub_timings(proc.stdout))
     assert reports[0] == reports[1]
+
+
+def test_no_files_written(tmp_path):
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(SRC),
+           "HOME": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path)}
+    code, _, err = cli_process(["grpcoh", "S3", "trivial", "4"],
+                               cwd=tmp_path, env=env)
+    assert code == 0, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grpcoh_trivial(capsys):

@@ -51,6 +51,28 @@ def test_homomorphism_verified_over_full_table(catalog):
                             tau: IntMatrix.from_rows([[1, 1], [0, 1]])})
 
 
+def test_catalog_shared_and_read_only(catalog):
+    assert standard_modules(3) is catalog
+    with pytest.raises(TypeError):
+        catalog["trivial"] = catalog["sign"]
+    assert sorted(catalog) == ["sign", "standard", "standard(x)sign",
+                               "standard(x)standard", "trivial"]
+
+
+def test_catalog_verifies_each_module_once(monkeypatch):
+    verified = []
+    original = GroupModule.verify_homomorphism
+
+    def counting(self):
+        verified.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(GroupModule, "verify_homomorphism", counting)
+    standard_modules.__wrapped__(3)      # a fresh build, past the shared one
+    assert sorted(verified) == ["sign", "standard", "standard(x)sign",
+                                "standard(x)standard", "trivial"]
+
+
 def test_characters(catalog):
     # classes ordered (identity, transpositions, 3-cycles)
     assert catalog["trivial"].character() == [1, 1, 1]
