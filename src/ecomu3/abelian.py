@@ -17,17 +17,48 @@ AbelianGroup(free_rank=5, torsion=[])
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
                      invariant_factors, modp_rank)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    free_rank: int = 0
-    torsion: tuple = ()
+class FrozenRecord:
+    """Immutable record: equality, hash and repr over its ``__slots__``.
+
+    What ``@dataclass(frozen=True)`` would generate, without importing
+    ``dataclasses``, which pulls in ``inspect`` and ``ast`` (about 1 MB of
+    resident memory).  Subclasses list their fields in ``__slots__`` and set
+    them with ``object.__setattr__`` in ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AbelianGroup(FrozenRecord):
+    __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank=0, torsion=()):
         torsion = tuple(int(t) for t in torsion if int(t) != 1)
@@ -173,11 +204,10 @@ def p_primary(g, p):
     return AbelianGroup.from_cyclic_orders(orders)
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(FrozenRecord):
     """Polynomial with nonnegative integer coefficients, indexed by degree."""
 
-    coefficients: tuple = ()
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=()):
         coefficients = list(int(c) for c in coefficients)

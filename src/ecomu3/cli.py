@@ -72,16 +72,31 @@ def _parse_poly(text):
         raise CommandError(f"bad polynomial {text!r}: {exc}")
 
 
+def _read_file(path, what):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CommandError(f"cannot read {what}: {exc}")
+
+
+def _parse_json(text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CommandError(f"bad {what}: {exc}")
+
+
 def load_config(name_or_path):
     if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            return json.load(fh), open(name_or_path).read()
-    try:
-        text = resources.files("ecomu3.data").joinpath(
-            f"{name_or_path}.json").read_text()
-    except FileNotFoundError:
-        raise CommandError(f"no such fibration config: {name_or_path}")
-    return json.loads(text), text
+        text = _read_file(name_or_path, "fibration config")
+    else:
+        try:
+            text = resources.files("ecomu3.data").joinpath(
+                f"{name_or_path}.json").read_text()
+        except FileNotFoundError:
+            raise CommandError(f"no such fibration config: {name_or_path}")
+    return _parse_json(text, "fibration config"), text
 
 
 def fiber_reps_from_config(config):
@@ -104,7 +119,7 @@ def fiber_reps_from_config(config):
 
 def cmd_snf(args, report):
     if os.path.exists(args.matrix):
-        text = open(args.matrix).read()
+        text = _read_file(args.matrix, "matrix")
         report.add_input_hash(args.matrix, text)
     else:
         text = args.matrix
@@ -271,13 +286,9 @@ def cmd_holim(args, report):
 
 def _load_diagram(args, report):
     if args.diagram:
-        try:
-            with open(args.diagram) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CommandError(f"cannot read diagram: {exc}")
+        text = _read_file(args.diagram, "diagram")
         report.add_input_hash(args.diagram, text)
-        return PosetDiagram.from_json(json.loads(text))
+        return PosetDiagram.from_json(_parse_json(text, "diagram"))
     name = f"diagram_p{args.prime}.json"
     try:
         text = resources.files("ecomu3.data").joinpath(name).read_text()
@@ -431,7 +442,16 @@ def main(argv=None):
     except (NoSolution, Ambiguous, NonVanishingLim2) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(report.to_json() if args.format == "json" else report.to_text())
+    try:
+        print(report.to_json() if args.format == "json" else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``): send what is still buffered to
+        # devnull, so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -24,9 +24,7 @@ differentials out of total degree <= 14 would leave the window anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .abelian import AbelianGroup, mod_p_series
+from .abelian import AbelianGroup, FrozenRecord, mod_p_series
 from .resolution import group_cohomology_dims_modp, group_cohomology_table
 
 DEFAULT_WINDOW = 16
@@ -51,20 +49,21 @@ class SearchBudget(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(FrozenRecord):
     """One differential move of a fixed rank on a fixed page.
 
     Periodic moves act on every source column >= ``col`` congruent to it
     modulo the page period; single moves act on that column only.  ``kind``
     is "torsion" or "free" depending on which part of the source maps.
+    ``source`` is (c, q) and ``target`` is (c + page, q - page + 1).
     """
-    page: int
-    source: tuple          # (c, q)
-    target: tuple          # (c + page, q - page + 1)
-    rank: int
-    periodic: bool
-    kind: str = "torsion"
+
+    __slots__ = ("page", "source", "target", "rank", "periodic", "kind")
+
+    def __init__(self, page, source, target, rank, periodic, kind="torsion"):
+        for name, value in zip(self.__slots__,
+                               (page, source, target, rank, periodic, kind)):
+            object.__setattr__(self, name, value)
 
     def describe(self, period=None):
         c, q = self.source

@@ -5,6 +5,10 @@ the invariant factors of d_in.  This is the longer route it replaced, kept
 as an independent check: take a kernel basis K of d_out from a Smith form,
 write im(d_in) in the coordinates of K (exact, since the kernel lattice is
 saturated and contains the image) and take the Smith form of the result.
+
+Group cohomology is read off the same way, one degree at a time from the
+Hom differentials of every degree, sharing nothing with the tables of
+``ecomu3.resolution`` beyond ``FreeResolution.hom_differential``.
 """
 
 from ecomu3.abelian import AbelianGroup
@@ -42,3 +46,25 @@ def cohomology_by_kernel_coordinates(d_in, d_out):
     ysnf = smith_normal_form(IntMatrix.from_columns(cols, rows=k))
     return AbelianGroup.from_cyclic_orders(
         [0] * (k - ysnf.rank) + ysnf.invariant_factors)
+
+
+def group_cohomology_by_degree(resolution, module, upto):
+    """[H^0, ..., H^upto](G; M), each degree from its own two differentials."""
+    deltas = [IntMatrix.zero(module.rank * resolution.ranks[0], 0)]
+    deltas += [resolution.hom_differential(module, k) for k in range(1, upto + 2)]
+    return [cohomology_by_kernel_coordinates(deltas[d], deltas[d + 1])
+            for d in range(upto + 1)]
+
+
+def periodicity_verify(resolution, module, period, upto):
+    """True iff H^d == H^{d+period} for all 1 <= d <= upto - period."""
+    if upto < period + 1:
+        raise ValueError("range must exceed the period")
+    table = group_cohomology_by_degree(resolution, module, upto)
+    return all(table[d] == table[d + period]
+               for d in range(1, upto - period + 1))
+
+
+def invariants_degree_zero(module):
+    """Independent brute-force H^0: the fixed submodule of the action."""
+    return AbelianGroup(free_rank=module.invariants_rank())

@@ -25,6 +25,31 @@ def test_canonical_form():
     assert str(g) == "Z + Z/2 + Z/6"
 
 
+def test_records_are_frozen_values():
+    # what @dataclass(frozen=True) gave: value equality and hash, a field
+    # repr, no assignment -- and no equality with a plain tuple
+    from ecomu3.serre import Move
+    move = Move(2, (0, 1), (2, 0), 1, True)
+    records = [(AbelianGroup(1, [2]), AbelianGroup(free_rank=1, torsion=(2,)),
+                "AbelianGroup(free_rank=1, torsion=(2,))", (1, (2,))),
+               (PoincareSeries([1, 0, 2, 0]), PoincareSeries((1, 0, 2)),
+                "PoincareSeries(coefficients=(1, 0, 2))", ((1, 0, 2),)),
+               (move, Move(2, (0, 1), (2, 0), 1, True, "torsion"),
+                "Move(page=2, source=(0, 1), target=(2, 0), rank=1, "
+                "periodic=True, kind='torsion')", (2, (0, 1), (2, 0), 1, True, "torsion"))]
+    for a, b, text, fields in records:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == text
+        assert a != fields
+        name = type(a).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert AbelianGroup(1) != AbelianGroup(2)
+    assert move != Move(2, (0, 1), (2, 0), 1, True, "free")
+
+
 def test_direct_sum():
     a = AbelianGroup(free_rank=1, torsion=[2])
     b = AbelianGroup(torsion=[3])

@@ -44,8 +44,13 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["flag", "rep", "-1"],
     ["serre", "flbar3", "--prime", "4"],
     ["holim", "e2", "--diagram", "no/such/diagram.json"],
+    ["serre", "MALFORMED_JSON", "--prime", "2"],
+    ["holim", "e2", "--diagram", "MALFORMED_JSON"],
 ])
-def test_bad_input_is_one_error_line(capsys, argv):
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"name": ')
+    argv = [str(malformed) if a == "MALFORMED_JSON" else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -99,6 +104,29 @@ def test_reports_same_under_python_O(argv):
         assert proc.returncode == 0, proc.stderr
         reports.append(scrub_timings(proc.stdout))
     assert reports[0] == reports[1]
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # the reader has gone before the report is written, as with `| head`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ecomu3.cli", "--format", "json",
+         "grpcoh", "S3", "trivial", "2"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect and ast, about 1 MB of resident memory
+    code = "import sys, ecomu3.cli; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_files_written(tmp_path):

@@ -3,16 +3,19 @@
 The expected cohomology values are the published tables; degree zero is also
 checked against the brute-force invariant computation, and everything is
 recomputed from a resolution built with a permuted generator-selection order.
+The period-4 oracle (Swan) reads each degree through the kernel-coordinates
+route of ``cohomology_oracle``, not through the deduplicated tables.
 """
 
 import pytest
 
+from cohomology_oracle import invariants_degree_zero, periodicity_verify
 from ecomu3 import published
 from ecomu3.abelian import AbelianGroup
 from ecomu3.groups import cyclic_group, symmetric_group, trivial_module
 from ecomu3.resolution import (FreeResolution, ResolutionFailure, free_resolution,
-                               group_cohomology, group_cohomology_table,
-                               invariants_degree_zero, periodicity_verify)
+                               greedy_generators, group_cohomology,
+                               group_cohomology_table)
 
 
 def test_c2_periodic_resolution():
@@ -93,12 +96,43 @@ def test_results_independent_of_resolution(catalog):
 
 
 def test_periodicity(resolution, catalog):
-    assert periodicity_verify(resolution, catalog["trivial"], 4, 12)
-    assert periodicity_verify(resolution, catalog["standard(x)sign"], 4, 11)
-    assert periodicity_verify(resolution, catalog["standard"], 4, 11)
+    # Swan: S3 has periodic cohomology of period 4 past degree 0, whatever
+    # the coefficients and whichever resolution computes it
+    alt = free_resolution(symmetric_group(3), 15, generator_order="reversed")
+    for res in (resolution, alt):
+        for name, mod in catalog.items():
+            assert periodicity_verify(res, mod, 4, 14), name
     assert not periodicity_verify(resolution, catalog["sign"], 3, 11)
     with pytest.raises(ValueError):
         periodicity_verify(resolution, catalog["trivial"], 4, 4)
+
+
+@pytest.mark.parametrize("order", ["hermite", "reversed"])
+def test_greedy_step_reproduces_every_degree(order):
+    # the build copies degrees past the first repeated boundary; rerunning
+    # the greedy step on each stored boundary must give the stored next one
+    group = symmetric_group(3)
+    res = free_resolution(group, 15, generator_order=order)
+    assert res.first_equal_degree(15) < 15
+    for k in range(1, 16):
+        if k == 1:
+            prev = res.augmentation()
+        else:
+            alone = FreeResolution(group, res.ranks[k - 2:k],
+                                   [res.generator_vectors[k - 2]])
+            prev = alone.boundary(1)
+        assert greedy_generators(group, prev, order) == res.generator_vectors[k - 1], k
+
+
+def test_verify_checks_copied_degrees(resolution):
+    # degree 12 is a copy of degree 8; once it differs, verify must check it
+    assert resolution.first_equal_degree(12) == 8
+    gens = [[list(v) for v in step] for step in resolution.generator_vectors]
+    gens[11][-1] = [2 * x for x in gens[11][-1]]
+    bad = FreeResolution(resolution.group, resolution.ranks, gens)
+    assert bad.first_equal_degree(12) == 12
+    with pytest.raises(ResolutionFailure, match="d_12 d_13 != 0"):
+        bad.verify()
 
 
 def test_p_primary_tables(resolution, catalog):
