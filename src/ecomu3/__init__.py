@@ -3,8 +3,9 @@ for commutativity in U(3).
 
 The package is organized as five engines plus a CLI:
 
-- :mod:`ecomu3.linalg`, :mod:`ecomu3.abelian` -- exact linear algebra over Z
-  and F_p, Smith normal form, cohomology of three-term complexes.
+- :mod:`ecomu3.matrix`, :mod:`ecomu3.linalg`, :mod:`ecomu3.abelian` -- exact
+  linear algebra over F_p and Z, Smith normal form, cohomology of three-term
+  complexes.
 - :mod:`ecomu3.groups`, :mod:`ecomu3.resolution` -- finite groups, integral
   representation modules, free resolutions over the group ring, group
   cohomology.

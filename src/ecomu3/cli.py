@@ -36,7 +36,7 @@ from . import published
 from .abelian import PoincareSeries, is_prime, mod_p_series, p_primary
 from .coinvariants import CoinvariantAlgebra, kunneth_decompose
 from .diagonal import invariant_ring_presentation, RelationFailure
-from .diagram import PosetDiagram
+from .diagram import ConstraintViolation, FunctorialityViolation, PosetDiagram
 from .groups import standard_modules, symmetric_group, resolve_module_name
 from .koszul import u3t2_cohomology
 from .limits import bk_assemble, higher_limits, lim2_vanishing_check, NonVanishingLim2
@@ -44,8 +44,9 @@ from .linalg import IntMatrix, smith_normal_form
 from .polyparse import ParseError, parse_polynomial
 from .report import Report
 from .resolution import free_resolution, group_cohomology_table
-from .serre import (Ambiguous, NoSolution, assemble_total, run_to_e_infinity,
-                    serre_e2_over_bg, solve_unique)
+from .serre import (Ambiguous, NoSolution, RankTooLarge, SearchBudget,
+                    assemble_total, run_to_e_infinity, serre_e2_over_bg,
+                    solve_unique)
 
 RESOLUTION_LENGTH = 15
 
@@ -96,7 +97,32 @@ def load_config(name_or_path):
                 f"{name_or_path}.json").read_text()
         except FileNotFoundError:
             raise CommandError(f"no such fibration config: {name_or_path}")
-    return _parse_json(text, "fibration config"), text
+    config = _parse_json(text, "fibration config")
+    _check_config(config)
+    return config, text
+
+
+def _check_config(config):
+    """Refuse a fibration config without the keys and types ``serre`` reads."""
+    def need(ok, what):
+        if not ok:
+            raise CommandError(f"bad fibration config: {what}")
+
+    need(isinstance(config, dict), "not a JSON object")
+    need(isinstance(config.get("name", ""), str), '"name" must be a string')
+    fiber = config.get("fiber")
+    need(isinstance(fiber, dict), '"fiber" must map fiber degrees to modules')
+    for row, entries in fiber.items():
+        need(row.isascii() and row.isdigit(),
+             f"fiber degree {row!r} is not an integer >= 0")
+        need(isinstance(entries, list) and all(
+            isinstance(e, str) or isinstance(e, dict)
+            and isinstance(e.get("name"), str) for e in entries),
+            f"fiber degree {row}: each module must be a name or an object "
+            'with a "name"')
+    for key, least in (("top_dimension", 0), ("group_order", 1)):
+        need(type(config.get(key)) is int and config[key] >= least,
+             f'"{key}" must be an integer >= {least}')
 
 
 def fiber_reps_from_config(config):
@@ -105,11 +131,13 @@ def fiber_reps_from_config(config):
     for row, entries in config["fiber"].items():
         summands = []
         for entry in entries:
-            if isinstance(entry, str):
-                summands.append((catalog[resolve_module_name(entry)], False))
-            else:
-                summands.append((catalog[resolve_module_name(entry["name"])],
-                                 bool(entry.get("mod_p"))))
+            name = entry if isinstance(entry, str) else entry["name"]
+            try:
+                module = catalog[resolve_module_name(name)]
+            except KeyError:
+                raise CommandError(f"unknown module {name!r} in the fiber")
+            summands.append((module, isinstance(entry, dict)
+                             and bool(entry.get("mod_p"))))
         reps[int(row)] = summands
     return reps
 
@@ -288,7 +316,13 @@ def _load_diagram(args, report):
     if args.diagram:
         text = _read_file(args.diagram, "diagram")
         report.add_input_hash(args.diagram, text)
-        return PosetDiagram.from_json(_parse_json(text, "diagram"))
+        try:
+            diagram = PosetDiagram.from_json(_parse_json(text, "diagram"))
+        except ValueError as exc:   # a wrong shape or a non-integer entry
+            raise CommandError(f"bad diagram: {exc}")
+        if not is_prime(diagram.prime):
+            raise CommandError(f"bad diagram: prime {diagram.prime} is not prime")
+        return diagram
     name = f"diagram_p{args.prime}.json"
     try:
         text = resources.files("ecomu3.data").joinpath(name).read_text()
@@ -439,7 +473,8 @@ def main(argv=None):
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NoSolution, Ambiguous, NonVanishingLim2) as exc:
+    except (NoSolution, Ambiguous, RankTooLarge, SearchBudget, NonVanishingLim2,
+            FunctorialityViolation, ConstraintViolation) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .linalg import IntMatrix, modp_rank, modp_kernel_basis
+from .matrix import IntMatrix, modp_rank, modp_kernel_basis
 from .poset import PosetSn
 
 
@@ -27,6 +27,10 @@ class FunctorialityViolation(RuntimeError):
 
 class ConstraintViolation(RuntimeError):
     pass
+
+
+class DiagramFormatError(ValueError):
+    """Diagram JSON that does not have the shape :meth:`PosetDiagram.from_json` reads."""
 
 
 class PosetDiagram:
@@ -152,6 +156,9 @@ class PosetDiagram:
 
     @classmethod
     def from_json(cls, obj):
+        """The diagram of a parsed file; DiagramFormatError (or ValueError for
+        a non-integer matrix entry) if its shape is wrong."""
+        _check_shape(obj)
         maps = {}
         for rec in obj["maps"]:
             per = {}
@@ -164,6 +171,67 @@ class PosetDiagram:
         return cls(obj["prime"], obj["dims"], maps, obj["max_degree"],
                    provenance=obj.get("provenance"), constraints=constraints,
                    notes=obj.get("notes"))
+
+
+def _check_shape(obj):
+    """Raise DiagramFormatError unless ``obj`` has every key and type that
+    :meth:`PosetDiagram.from_json` and :meth:`PosetDiagram.validate` read."""
+    def need(ok, what):
+        if not ok:
+            raise DiagramFormatError(what)
+
+    def is_int(x):
+        return type(x) is int          # JSON true/false are not indices
+
+    def is_degree(key):
+        return isinstance(key, str) and key.isascii() and key.isdigit()
+
+    poset = PosetSn(2)
+    need(isinstance(obj, dict), "not a JSON object")
+    need(is_int(obj.get("prime")), '"prime" must be an integer')
+    need(is_int(obj.get("max_degree")) and obj["max_degree"] >= 0,
+         '"max_degree" must be an integer >= 0')
+    dims = obj.get("dims")
+    need(isinstance(dims, dict)
+         and set(dims) == {str(i) for i in range(len(poset))},
+         f'"dims" must have the keys "0".."{len(poset) - 1}"')
+    for i, v in dims.items():
+        need(isinstance(v, list) and all(is_int(e) and e >= 0 for e in v),
+             f'"dims" of object {i} must be a list of integers >= 0')
+    maps = obj.get("maps")
+    need(isinstance(maps, list), '"maps" must be a list')
+    for rec in maps:
+        need(isinstance(rec, dict) and is_int(rec.get("from"))
+             and is_int(rec.get("to"))
+             and (rec["from"], rec["to"]) in poset.chains2,
+             'each map needs "from" and "to", the indices of a strict '
+             'containment')
+        need(isinstance(rec.get("degrees"), dict)
+             and all(map(is_degree, rec["degrees"])),
+             'each map needs "degrees", keyed by degrees "0", "1", ...')
+    constraints = obj.get("constraints", [])
+    need(isinstance(constraints, list), '"constraints" must be a list')
+    for rec in constraints:
+        need(isinstance(rec, dict)
+             and all(is_int(rec.get(key)) for key in ("from", "to", "degree"))
+             and isinstance(rec.get("pins"), list)
+             and all(isinstance(pin, dict) and isinstance(pin.get("kind"), str)
+                     for pin in rec["pins"]),
+             'each constraint needs integer "from", "to", "degree" and a '
+             'list of "pins" with a "kind"')
+        for pin in rec["pins"]:
+            if pin["kind"] == "rank":
+                need(is_int(pin.get("value")), 'a "rank" pin needs a "value"')
+            elif pin["kind"] == "kernel_within":
+                of = pin.get("of")
+                need(isinstance(of, list) and len(of) == 2
+                     and all(map(is_int, of)),
+                     'a "kernel_within" pin needs "of": [from, to]')
+    need(isinstance(obj.get("provenance") or {}, dict),
+         '"provenance" must be an object')
+    notes = obj.get("notes") or []
+    need(isinstance(notes, list) and all(isinstance(n, str) for n in notes),
+         '"notes" must be a list of strings')
 
 
 def load_bundled(prime):

@@ -28,7 +28,7 @@ each 3-chain.
 from __future__ import annotations
 
 from .diagram import commutes
-from .linalg import EchelonBasis
+from .matrix import EchelonBasis
 
 
 class NonVanishingLim2(RuntimeError):
@@ -36,22 +36,25 @@ class NonVanishingLim2(RuntimeError):
 
 
 class CochainLayout:
-    """The column offsets of C^0 and C^1 in fiber degree k, and the row blocks.
+    """The offsets of C^0, C^1 and C^2 in fiber degree k, and the blocks.
 
-    Rows are sparse ``{column: value}`` dicts with values reduced mod p.  A
-    block depends on one map only (see the module docstring), so a caller
-    can rebuild the blocks of changed maps alone.
+    Rows and columns are sparse ``{index: value}`` dicts with values reduced
+    mod p.  A row block depends on one map only (see the module docstring),
+    and so does each column block of delta1 at a 2-chain (x, y) on the maps
+    out of y alone, so a caller can rebuild the blocks of changed maps alone.
     """
 
     def __init__(self, diagram, k):
         poset = diagram.poset
         self.p = diagram.prime
+        self.chains3 = poset.chains3
         self.object_dims = [diagram.dim(i, k) for i in range(len(poset))]
         self.off0 = _offsets(self.object_dims)
         targets = [self.object_dims[b] for _, b in poset.chains2]
         self.off1 = dict(zip(poset.chains2, _offsets(targets)))
-        self.dims = (sum(self.object_dims), sum(targets),
-                     sum(self.object_dims[c] for _, _, c in poset.chains3))
+        ends = [self.object_dims[c] for _, _, c in poset.chains3]
+        self.off2 = dict(zip(poset.chains3, _offsets(ends)))
+        self.dims = (sum(self.object_dims), sum(targets), sum(ends))
 
     def delta0_block(self, a, b, m):
         """Rows of delta0 at the 2-chain (a, b), where m is the map a -> b."""
@@ -77,6 +80,27 @@ class CochainLayout:
             row[ac + i] = p - 1
             rows.append(row)
         return rows
+
+    def delta1_columns(self, x, y, matrix):
+        """Columns of delta1 at the 2-chain (x, y); ``matrix(y, c)`` gives the
+        map y -> c.  The coordinate y(x, y) enters the 3-chain (a, x, y) with
+        +1, (x, b, y) with -1 and (x, y, c) through m(y, c)."""
+        p = self.p
+        cols = [{} for _ in range(self.object_dims[y])]
+        for a, b, c in self.chains3:
+            off = self.off2[a, b, c]
+            if (b, c) == (x, y) or (a, c) == (x, y):
+                sign = 1 if b == x else p - 1
+                for i, col in enumerate(cols):
+                    col[off + i] = sign
+            elif (a, b) == (x, y):
+                m = matrix(y, c)
+                n = m.cols
+                for r in range(m.rows):
+                    for i, e in enumerate(m.entries[r * n:(r + 1) * n]):
+                        if e % p:
+                            cols[i][off + r] = e % p
+        return cols
 
 
 def cosimplicial_complex(diagram, k):

@@ -9,10 +9,13 @@ otherwise), keeps those variants that still extend to a functorial diagram
 (the two upper maps are re-solved, the identity at (0,2)->(0,1,2) is kept),
 and recomputes (lim^0, lim^1).  The claim under test: the values never move.
 
-The recomputation is exact but incremental: a variant changes only seven of
-the twelve arrows, so the rows of the chain blocks it cannot change are
-reduced once per (arrow, degree), and each variant inserts only its own rows
-into a copy of that echelon basis (see :class:`VariantLimits`).
+The recomputation is exact but incremental: a variant changes only the
+varied arrow and the five arrows into (0,1,2) that are re-solved, so the part
+of each differential those arrows cannot reach is reduced once per (arrow,
+degree), and each variant ranks only its own rows of delta0 and columns of
+delta1 modulo that part (see :class:`VariantLimits`).  The completion, too,
+builds once per block what the varied arrow cannot change
+(:class:`Completion`).
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from itertools import product as iproduct
 from .diagram import equal_modp
 from .limits import (CochainLayout, check_complex, higher_limits,
                      lims_from_ranks)
-from .linalg import EchelonBasis, IntMatrix, modp_rref, modp_solve
+from .matrix import IntMatrix, Quotient, modp_rref, modp_solve
 
 # the maps out of (0) are pinned canonical inclusions (their twist freedom is
 # a basis gauge); the other four lower arrows are genuinely under-determined
 LOWER_ARROWS = [(1, 3), (2, 4), (1, 5), (2, 5)]
-# the arrows _complete re-solves: with the varied arrow, the only ones a
+# the arrows a Completion re-solves: with the varied arrow, the only ones a
 # variant can change
 COMPLETED_ARROWS = [(3, 6), (5, 6), (0, 6), (1, 6), (2, 6)]
 EXHAUSTIVE_LIMIT = 2000
@@ -99,120 +102,150 @@ def kernel_image_variants(m, p, rng):
     return out, exhaustive
 
 
-def _complete(diagram, k, replaced):
-    """Re-solve the upper maps after replacing lower matrices, or None.
+class Completion:
+    """The functorial completions of one (arrow, degree) block.
 
-    The unknowns are the map (1,2) -> (0,1,2) and the free columns of
-    (0,1) -> (0,1,2); per output row they satisfy one joint linear system
-    (the (2,4)-composite condition and the two-route condition through the
-    one-element subsets), which is solved exactly over F_p.  Returns the full
-    degree-k matrix assignment for all twelve arrows, or None when the
-    replacement cannot be made functorial.
+    Calling it with a variant of ``arrow`` re-solves the upper maps, or
+    returns None when the variant cannot be made functorial.  The unknowns
+    are the map (1,2) -> (0,1,2) and the free columns of (0,1) -> (0,1,2); per
+    output row they satisfy one joint linear system (the (2,4)-composite
+    condition and the two-route condition through the one-element subsets),
+    which is solved exactly over F_p.  Whatever the varied arrow cannot
+    change (dims, system rows, right-hand sides, the identity (0,2) ->
+    (0,1,2)) is built once here.
     """
-    p = diagram.prime
-    get = lambda a, b: replaced.get((a, b), diagram.matrix(a, b, k))
-    a1, a2, a3 = get(0, 3), get(1, 3), get(0, 4)
-    a4, a5, a6 = get(2, 4), get(1, 5), get(2, 5)
-    dv = {i: diagram.dim(i, k) for i in range(7)}
-    dv0, dv1, dv2 = dv[0], dv[1], dv[2]
-    nb = dv[3] - dv0
-    n_unknown = dv[5] + nb
-    a2_top = [a2.row(i) for i in range(dv0)]
-    a2_bot = [a2.row(i) for i in range(dv0, dv[3])]
-    sys_rows = []
-    for j in range(dv2):          # (b3 row) . a6 column j = a4[i, j]
-        sys_rows.append([a6[t, j] for t in range(dv[5])] + [0] * nb)
-    for j in range(dv1):          # b1free . a2_bot - b3 . a5 matches the unit part
-        sys_rows.append([-a5[t, j] for t in range(dv[5])]
-                        + [a2_bot[t][j] for t in range(nb)])
-    b3_rows, b1f_rows = [], []
-    if not sys_rows or n_unknown == 0:
-        for i in range(dv[6]):
-            for j in range(dv2):
-                if a4[i, j] % p:
-                    return None
-            for j in range(dv1):
-                if sum(a3[i, t] * a2_top[t][j] for t in range(dv0)) % p:
-                    return None
-        b3_rows = [[0] * dv[5] for _ in range(dv[6])]
-        b1f_rows = [[0] * nb for _ in range(dv[6])]
-    else:
+
+    def __init__(self, diagram, arrow, k):
+        self.p = p = diagram.prime
+        self.arrow = arrow
+        self.maps = {ab: diagram.matrix(*ab, k)
+                     for ab in diagram.poset.chains2}
+        dv = [diagram.dim(i, k) for i in range(7)]
+        self.dv = dv
+        self.nb = nb = dv[3] - dv[0]
+        self.n_unknown = dv[5] + nb
+        a3 = self.maps[0, 4]
+        # b1 = [a3 | free columns]: its fixed part, row-major
+        self.b1_base = [e for i in range(dv[6])
+                        for e in a3.row(i) + [0] * nb]
+        # b2 is the identity; the diagram's own matrix is kept when it is one,
+        # so that a caller can compare the kept arrows by identity
+        identity = IntMatrix.identity(dv[6])
+        if not equal_modp(self.maps[4, 6], identity, p):
+            self.maps[4, 6] = identity
+        self.top = None if arrow in ((2, 4), (2, 5)) else self._top(self.maps)
+        self.rhs = None if arrow == (1, 3) else self._rhs(self.maps)
+        self.bottom = (None if arrow in ((1, 3), (1, 5))
+                       else self._bottom(self.maps, self.rhs))
+
+    def _top(self, maps):
+        """(b3 row) . a6 column j = a4[i, j]: one system row per j, with the
+        right-hand sides of all output rows i appended."""
+        a4, a6 = maps[2, 4], maps[2, 5]
+        pad = [0] * self.nb
+        return [a6.column(j) + pad + a4.column(j) for j in range(self.dv[2])]
+
+    def _rhs(self, maps):
+        """-a3 . a2_top, the bottom rows' right-hand sides, as columns."""
+        p, dv0 = self.p, self.dv[0]
+        a2 = maps[1, 3]
+        a2_top = IntMatrix(dv0, a2.cols, a2.entries[:dv0 * a2.cols])
+        rhs = maps[0, 4] * a2_top
+        return [[-e % p for e in rhs.column(j)] for j in range(self.dv[1])]
+
+    def _bottom(self, maps, rhs):
+        """b1free . a2_bot - b3 . a5 = -a3 . a2_top, one row per column j of (1)."""
+        p, dv0 = self.p, self.dv[0]
+        a2, a5 = maps[1, 3], maps[1, 5]
+        return [[-e % p for e in a5.column(j)] + a2.column(j)[dv0:] + rhs[j]
+                for j in range(self.dv[1])]
+
+    def __call__(self, v):
+        """The degree's twelve maps with ``arrow`` replaced by v, or None."""
+        p, dv, n_unknown = self.p, self.dv, self.n_unknown
+        maps = dict(self.maps)
+        maps[self.arrow] = v
+        top = self._top(maps) if self.top is None else self.top
+        bottom = self.bottom
+        if bottom is None:
+            rhs = self._rhs(maps) if self.rhs is None else self.rhs
+            bottom = self._bottom(maps, rhs)
         # one reduction of [M | B] solves every output row at once: the pivots
         # in M's columns do not depend on B, a pivot in B's columns means some
         # row has no solution, and reduced row echelon form is unique, so each
         # solution is the one a separate reduction of [M | b] gives
-        rhs = []
-        for i in range(dv[6]):
-            b = [a4[i, j] for j in range(dv2)]
-            b += [-sum(a3[i, t] * a2_top[t][j] for t in range(dv0))
-                  for j in range(dv1)]
-            rhs.append(b)
-        aug = [row + [b[r] for b in rhs] for r, row in enumerate(sys_rows)]
-        rref, pivots = modp_rref(aug, n_unknown + dv[6], p)
+        rref, pivots = modp_rref(top + bottom, n_unknown + dv[6], p)
         if pivots and pivots[-1] >= n_unknown:
             return None
-        for i in range(dv[6]):
-            sol = [0] * n_unknown
-            for row, piv in zip(rref, pivots):
-                sol[piv] = row[n_unknown + i]
-            b3_rows.append(sol[:dv[5]])
-            b1f_rows.append(sol[dv[5]:])
-    b3 = IntMatrix.from_rows(b3_rows) if b3_rows else IntMatrix.zero(0, dv[5])
-    b1 = IntMatrix.from_rows(
-        [a3.row(i) + b1f_rows[i] for i in range(dv[6])]) \
-        if dv[6] else IntMatrix.zero(0, dv[3])
-    b2 = IntMatrix.identity(dv[6])
+        n5, n3 = dv[5], dv[3]
+        b3 = [0] * (dv[6] * n5)
+        b1 = list(self.b1_base)
+        for row, piv in zip(rref, pivots):
+            if piv < n5:
+                b3[piv::n5] = row[n_unknown:]
+            else:
+                b1[dv[0] + piv - n5::n3] = row[n_unknown:]
+        b1 = IntMatrix(dv[6], n3, b1)
+        maps[3, 6], maps[5, 6] = b1, IntMatrix(dv[6], n5, b3)
+        maps[0, 6] = _mod(b1 * maps[0, 3], p)
+        maps[1, 6] = _mod(b1 * maps[1, 3], p)
+        maps[2, 6] = maps[2, 4]          # b2 . a4 with b2 the identity
+        return maps
 
-    def mod(m):
-        return IntMatrix(m.rows, m.cols, [e % p for e in m.entries])
 
-    out = {(0, 3): a1, (1, 3): a2, (0, 4): a3, (2, 4): a4,
-           (1, 5): a5, (2, 5): a6, (3, 6): b1, (4, 6): b2, (5, 6): b3,
-           (0, 6): mod(b1 * a1), (1, 6): mod(b1 * a2), (2, 6): mod(b2 * a4)}
-    return out
+def _mod(m, p):
+    return IntMatrix(m.rows, m.cols, [e % p for e in m.entries])
 
 
 class VariantLimits:
     """Higher limits of the compatible variants of one (arrow, degree) block.
 
-    A variant changes only ``arrow`` and COMPLETED_ARROWS, so the rows of
-    every other chain block are reduced here once, and each variant inserts
-    only its changed rows into copies of those two bases.
+    A variant changes only ``arrow`` and COMPLETED_ARROWS.  The rows of
+    delta0 at the other arrows, and the columns of delta1 at the 2-chains
+    (x, y) with no changed map out of y, are the block's fixed part: each
+    differential's rank is the fixed part's rank plus the rank of the
+    changed rows (columns) in the quotient by it (:class:`Quotient`), and
+    when the quotient is 0 a variant builds no row at all.
     """
 
     def __init__(self, diagram, arrow, degree):
         self.diagram, self.degree, self.p = diagram, degree, diagram.prime
         self.chains3 = diagram.poset.chains3
         changed = {arrow, *COMPLETED_ARROWS}
-        self.kept = [ab for ab in diagram.poset.chains2 if ab not in changed]
-        self.changed0 = [ab for ab in diagram.poset.chains2 if ab in changed]
-        self.changed1 = [abc for abc in self.chains3 if abc[1:] in changed]
+        moved = {a for a, _ in changed}
+        chains2 = diagram.poset.chains2
+        self.kept = {ab: diagram.matrix(*ab, degree)
+                     for ab in chains2 if ab not in changed}
+        self.changed0 = [ab for ab in chains2 if ab in changed]
+        self.changed1 = [xy for xy in chains2 if xy[1] in moved]
         self.layout = layout = CochainLayout(diagram, degree)
-        self.fixed0, self.fixed1 = EchelonBasis(self.p), EchelonBasis(self.p)
-        for a, b in self.kept:
-            self.fixed0.insert_all(
-                layout.delta0_block(a, b, diagram.matrix(a, b, degree)))
-        for a, b, c in self.chains3:
-            if (b, c) not in changed:
-                self.fixed1.insert_all(
-                    layout.delta1_block(a, b, c, diagram.matrix(b, c, degree)))
+        n0, _, n2 = layout.dims
+        self.quotient0 = Quotient(self.p, n0, (
+            row for (a, b), m in self.kept.items()
+            for row in layout.delta0_block(a, b, m)))
+        matrix = lambda a, b: diagram.matrix(a, b, degree)
+        self.quotient1 = Quotient(self.p, n2, (
+            col for x, y in chains2 if y not in moved
+            for col in layout.delta1_columns(x, y, matrix)))
 
     def __call__(self, maps):
         """(lim^0, lim^1, lim^2) once the degree's twelve maps are ``maps``.
 
         Raises like :func:`higher_limits` when delta1 . delta0 != 0.
         """
-        diagram, k, p = self.diagram, self.degree, self.p
-        for a, b in self.kept:
-            if not equal_modp(maps[a, b], diagram.matrix(a, b, k), p):
-                raise ValueError(f"variant changes {diagram.arrow_name(a, b)}")
-        check_complex(lambda a, b: maps[a, b], self.chains3, k, p)
-        basis0, basis1 = self.fixed0.copy(), self.fixed1.copy()
-        for a, b in self.changed0:
-            basis0.insert_all(self.layout.delta0_block(a, b, maps[a, b]))
-        for a, b, c in self.changed1:
-            basis1.insert_all(self.layout.delta1_block(a, b, c, maps[b, c]))
-        return lims_from_ranks(self.layout.dims, len(basis0), len(basis1))
+        diagram, p = self.diagram, self.p
+        for ab, m in self.kept.items():
+            if maps[ab] is not m and not equal_modp(maps[ab], m, p):
+                raise ValueError(f"variant changes {diagram.arrow_name(*ab)}")
+        check_complex(lambda a, b: maps[a, b], self.chains3, self.degree, p)
+        layout = self.layout
+        r0 = self.quotient0.rank(
+            row for a, b in self.changed0
+            for row in layout.delta0_block(a, b, maps[a, b]))
+        r1 = self.quotient1.rank(
+            col for x, y in self.changed1
+            for col in layout.delta1_columns(x, y, lambda a, b: maps[a, b]))
+        return lims_from_ranks(layout.dims, r0, r1)
 
 
 def check_block(diagram, arrow, degree, rng_seed=0):
@@ -224,6 +257,7 @@ def check_block(diagram, arrow, degree, rng_seed=0):
     rng = random.Random(rng_seed + 1000 * degree)
     variants, exhaustive = kernel_image_variants(m, p, rng)
     baseline = higher_limits(diagram, degree)[:2]
+    complete = Completion(diagram, arrow, degree)
     variant_limits = VariantLimits(diagram, arrow, degree)
     compatible = 0
     stable = True
@@ -231,7 +265,7 @@ def check_block(diagram, arrow, degree, rng_seed=0):
         if v == m:
             compatible += 1
             continue
-        completion = _complete(diagram, degree, {arrow: v})
+        completion = complete(v)
         if completion is None:
             continue
         compatible += 1

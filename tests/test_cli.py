@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ecomu3.cli import main
+from ecomu3.diagram import load_bundled
 from ecomu3.report import scrub_timings
 
 
@@ -46,11 +47,36 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["holim", "e2", "--diagram", "no/such/diagram.json"],
     ["serre", "MALFORMED_JSON", "--prime", "2"],
     ["holim", "e2", "--diagram", "MALFORMED_JSON"],
+    ["serre", "EMPTY_OBJECT", "--prime", "2"],
+    ["serre", "FIBER_NOT_AN_OBJECT", "--prime", "2"],
+    ["holim", "limits", "--prime", "3", "--diagram", "EMPTY_OBJECT"],
+    ["ecom-u3", "--prime", "2", "--diagram", "EMPTY_LIST"],
+    ["serre", "UNKNOWN_MODULE", "--prime", "2"],
+    ["serre", "SQUARE_IN_GROUP_ORDER", "--prime", "2"],
+    ["holim", "limits", "--diagram", "DIAGRAM_PRIME_4"],
+    ["holim", "validate", "--diagram", "DIAGRAM_WRONG_DIMS"],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"name": ')
-    argv = [str(malformed) if a == "MALFORMED_JSON" else a for a in argv]
+    flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
+              "top_dimension": 6, "fiber": {"0": ["trivial"], "2": ["standard"],
+                                            "4": ["standard"], "6": ["sign"]}}
+    prime4, wrong_dims = load_bundled(2).to_json(), load_bundled(2).to_json()
+    prime4["prime"] = 4
+    wrong_dims["dims"]["6"] = [0] * len(wrong_dims["dims"]["6"])
+    files = {
+        "MALFORMED_JSON": '{"name": ',
+        "EMPTY_OBJECT": "{}",
+        "EMPTY_LIST": "[]",
+        "FIBER_NOT_AN_OBJECT": '{"fiber": 3}',
+        "UNKNOWN_MODULE": json.dumps({**flbar3, "fiber": {"0": ["nope"]}}),
+        "SQUARE_IN_GROUP_ORDER": json.dumps({**flbar3, "group_order": 12}),
+        "DIAGRAM_PRIME_4": json.dumps(prime4),
+        "DIAGRAM_WRONG_DIMS": json.dumps(wrong_dims),
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name.lower()}.json").write_text(text)
+    argv = [str(tmp_path / f"{a.lower()}.json") if a in files else a
+            for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

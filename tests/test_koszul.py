@@ -58,6 +58,16 @@ def test_pu3():
     assert out3["series"].is_palindromic(8)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_pu3_prime_to_three_is_rational(p):
+    """At a prime not dividing 3, H*(PU(3); F_p) is the rational answer, the
+    exterior algebra on classes of degrees 3 and 5: 1 + t^3 + t^5 + t^8."""
+    out = pu3_cohomology(p)
+    want = (1, 0, 0, 1, 0, 1, 0, 0, 1)
+    assert out["series"].coefficients == want
+    assert out["oracle"].coefficients == want
+
+
 def test_oracle_agrees_with_presentation():
     for p in (2, 3):
         for fn in (u3t2_cohomology, pu3_cohomology):

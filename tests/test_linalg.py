@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecomu3.linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
-                           invariant_factors, kernel_basis, kernel_basis_reduced,
-                           modp_kernel_basis, modp_rank, modp_rref, modp_solve,
-                           smith_normal_form, solve)
+from ecomu3.linalg import (CompositionNonzero, IntMatrix, Quotient,
+                           ShapeMismatch, invariant_factors, kernel_basis,
+                           kernel_basis_reduced, modp_kernel_basis, modp_rank,
+                           modp_rref, modp_solve, smith_normal_form, solve)
 
 
 def det(M):
@@ -181,3 +181,49 @@ def _modp_matrices(draw):
 @example(IntMatrix.zero(3, 5), 5)
 def test_modp_rank_matches_rref(A, p):
     assert modp_rank(A, p) == len(modp_rref(A.to_lists(), A.cols, p)[1])
+
+
+def _sparse(rows, p):
+    return [{j: v % p for j, v in enumerate(r) if v % p} for r in rows]
+
+
+@st.composite
+def _fixed_and_changed(draw):
+    """(fixed rows, changed rows, n, p); changed rows mix combinations of the
+    fixed rows with sparse noise, so they are often dependent on them."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    fixed = draw(_modp_matrices()).to_lists()
+    n = len(fixed[0]) if fixed else draw(st.integers(0, 7))
+    changed = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = [0] * n
+        for f in fixed:
+            c = draw(st.integers(0, p - 1))
+            row = [a + c * b for a, b in zip(row, f)]
+        if n and draw(st.booleans()):
+            row[draw(st.integers(0, n - 1))] += draw(st.integers(1, p - 1))
+        changed.append(row)
+    return fixed, changed, n, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fixed_and_changed())
+@example(([], [[1, 2, 0], [2, 4, 0]], 3, 3))                # no fixed rows
+@example(([[1, 0, 2], [0, 1, 1]], [], 3, 5))                # no changed rows
+@example(([[1, 1, 0, 0], [0, 1, 1, 0]], [[1, 0, 6, 0], [0, 0, 0, 3]], 4, 7))
+@example(([[1, 0], [0, 1]], [[1, 1]], 2, 2))                # quotient 0
+def test_quotient_rank_matches_modp_rank(case):
+    fixed, changed, n, p = case
+    quotient = Quotient(p, n, _sparse(fixed, p))
+    want_fixed = len(modp_rref(fixed, n, p)[1])
+    assert quotient.fixed_rank == want_fixed
+    assert quotient.dim == n - want_fixed
+    assert quotient.rank(_sparse(changed, p)) == len(
+        modp_rref(fixed + changed, n, p)[1])
+    # the fixed rows lie in the kernel of the projection
+    assert all(quotient.project(row) == {} for row in _sparse(fixed, p))
+    if quotient.dim == 0:
+        def unread():
+            raise AssertionError("a zero quotient must not read its rows")
+            yield
+        assert quotient.rank(unread()) == want_fixed

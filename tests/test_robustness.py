@@ -1,19 +1,27 @@
 """The incremental robustness check against the dense complex.
 
-``check_block`` ranks only the rows a variant changes and checks
-delta1 . delta0 = 0 chain by chain.  Here the same variants are rebuilt as
-dense matrices from the formulas in the limits docstring (tests/dense_oracle)
-and ranked by full row reduction.
+``check_block`` ranks only the rows (delta0) and columns (delta1) a variant
+changes, modulo the block's fixed part, and checks delta1 . delta0 = 0 chain
+by chain.  Here the same variants are rebuilt as dense matrices from the
+formulas in the limits docstring (tests/dense_oracle) and ranked by full row
+reduction.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ecomu3.diagram import PosetDiagram, load_bundled
-from ecomu3.limits import cosimplicial_complex, higher_limits
-from ecomu3.robustness import (LOWER_ARROWS, VariantLimits, _complete,
-                               kernel_image_variants)
+from ecomu3.diagram import PosetDiagram, commutes, load_bundled
+from ecomu3.limits import (CochainLayout, cosimplicial_complex,
+                           higher_limits)
+from ecomu3.linalg import IntMatrix, modp_rref
+from ecomu3.poset import PosetSn
+from ecomu3.robustness import (COMPLETED_ARROWS, LOWER_ARROWS, Completion,
+                               VariantLimits, kernel_image_variants)
 
 from dense_oracle import dense, dense_complex, dense_limits
 
@@ -51,7 +59,13 @@ def test_sparse_blocks_match_dense_formulas(diagram):
             lambda a, b: diagram.matrix(a, b, k))
         assert dims == (n0, n1, n2)
         p = diagram.prime
-        for got, want in ((dense(d0, n0), w0), (dense(d1, n1), w1)):
+        # delta1 once more, column block by column block, transposed
+        layout = CochainLayout(diagram, k)
+        cols = {xy: layout.delta1_columns(
+                    *xy, lambda a, b: diagram.matrix(a, b, k))
+                for xy in diagram.poset.chains2}
+        for got, want in ((dense(d0, n0), w0), (dense(d1, n1), w1),
+                          (dense(cols, n2), w1.transpose())):
             assert (got.rows, got.cols) == (want.rows, want.cols)
             assert all((x - y) % p == 0
                        for x, y in zip(got.entries, want.entries))
@@ -62,9 +76,10 @@ def test_variant_limits_match_dense_oracle(diagram):
     p = diagram.prime
     for arrow, k, m, variants in _blocks(diagram):
         limits = VariantLimits(diagram, arrow, k)
+        complete = Completion(diagram, arrow, k)
         done = 0
         for v in variants:
-            completion = _complete(diagram, k, {arrow: v})
+            completion = complete(v)
             if completion is None:
                 continue
             want = dense_limits(diagram.poset, lambda i: diagram.dim(i, k),
@@ -77,8 +92,8 @@ def test_variant_limits_match_dense_oracle(diagram):
 
 
 def test_uncompleted_variant_is_not_a_complex(diagram):
-    """A variant substituted without _complete raises the non-functorial
-    error exactly when the dense d1 d0 is nonzero mod p."""
+    """A variant substituted without its Completion raises the
+    non-functorial error exactly when the dense d1 d0 is nonzero mod p."""
     p, raised = diagram.prime, 0
     for arrow, k, m, variants in _blocks(diagram):
         others = [v for v in variants if v != m]
@@ -109,3 +124,115 @@ def test_variant_limits_refuse_a_changed_kept_arrow():
     maps[0, 3] = type(m).zero(m.rows, m.cols)
     with pytest.raises(ValueError, match="variant changes"):
         VariantLimits(d, (1, 3), k)(maps)
+
+
+def test_completion_of_the_bundled_map_is_functorial(diagram):
+    """Completing a block's own matrix gives back a functorial diagram that
+    keeps every arrow outside COMPLETED_ARROWS and has the baseline limits."""
+    p = diagram.prime
+    for arrow, k, m, _ in _blocks(diagram):
+        maps = Completion(diagram, arrow, k)(m)
+        assert maps is not None, (arrow, k)
+        for a, b, c in diagram.poset.chains3:
+            assert commutes(maps[a, b], maps[b, c], maps[a, c], p)
+        for ab in diagram.poset.chains2:
+            if ab not in COMPLETED_ARROWS:
+                want = diagram.matrix(*ab, k)
+                assert all((x - y) % p == 0 for x, y in
+                           zip(maps[ab].entries, want.entries)), (ab, k)
+        assert VariantLimits(diagram, arrow, k)(maps) == higher_limits(diagram, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_zero_maps_run_the_quotient_path(p):
+    """All maps 0: the fixed delta1 columns leave a quotient of dimension
+    dim(0,1,2) and lim^2 = dim(0,1,2) != 0.  With the lower maps 0, the maps
+    (0,1)->(0,1,2) and (1,2)->(0,1,2) may be anything; those variants enter
+    the changed delta0 rows and delta1 columns and lower lim^2."""
+    rng = random.Random(p)
+    dims = {0: [1, 2], 1: [1, 1], 2: [2, 0], 3: [2, 3], 4: [2, 2],
+            5: [3, 1], 6: [2, 2]}
+    d = PosetDiagram(p, dims, {}, 1)
+    lowered = 0
+    for k in range(2):
+        dim = lambda i: d.dim(i, k)
+        for arrow in LOWER_ARROWS:
+            limits = VariantLimits(d, arrow, k)
+            n0, _, _ = limits.layout.dims
+            assert limits.quotient1.dim == dim(6) > 0
+            assert 0 < limits.quotient0.dim < n0
+            maps = {ab: d.matrix(*ab, k) for ab in d.poset.chains2}
+            assert limits(maps) == dense_limits(
+                d.poset, dim, lambda a, b: maps[a, b], p)
+            assert limits(maps)[2] == dim(6)
+            for _ in range(4):
+                for b in (3, 5):
+                    maps[b, 6] = IntMatrix(dim(6), dim(b), [
+                        rng.randrange(p) for _ in range(dim(6) * dim(b))])
+                want = dense_limits(d.poset, dim, lambda a, b: maps[a, b], p)
+                assert limits(maps) == want, (arrow, k)
+                lowered += want[2] < dim(6)
+    assert lowered
+
+
+def _factored_diagram(p, r, rng):
+    """A functorial diagram through F_p^r: m(a, b) = R_b L_a with L_i R_i = 1,
+    so m(b, c) m(a, b) = R_c L_b R_b L_a = m(a, c).  R_i = G_i [1; 0] and
+    L_i = [1 | 0] G_i^-1 for a random invertible G_i."""
+    dims = {i: [rng.randint(r, r + 2)] for i in range(7)}
+    R, L = {}, {}
+    for i, (n,) in dims.items():
+        while True:
+            g = IntMatrix(n, n, [rng.randrange(p) for _ in range(n * n)])
+            g_inv = _inverse_modp(g, p)
+            if g_inv is not None:
+                break
+        R[i] = IntMatrix.from_columns([g.column(j) for j in range(r)], rows=n)
+        L[i] = IntMatrix.from_rows([g_inv.row(j) for j in range(r)])
+    maps = {(a, b): {0: IntMatrix(dims[b][0], dims[a][0], [
+        e % p for e in (R[b] * L[a]).entries])} for a, b in PosetSn(2).chains2}
+    return PosetDiagram(p, dims, maps, 0)
+
+
+def _inverse_modp(g, p):
+    n = g.rows
+    rref, pivots = modp_rref([g.row(i) + [int(i == j) for j in range(n)]
+                              for i in range(n)], 2 * n, p)
+    if pivots != list(range(n)):
+        return None
+    return IntMatrix.from_rows([row[n:] for row in rref]) if n else g
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factored_diagrams_match_dense_oracle(p):
+    """Diagrams through F_p^r, r < dim(0,1,2), leave nonzero quotients for
+    both differentials, so the changed delta0 rows and delta1 columns of
+    every arrow are projected and ranked there."""
+    rng = random.Random(p)
+    quotients = 0
+    for trial in range(6):
+        d = _factored_diagram(p, 1 + trial % 2, rng)
+        dim = lambda i: d.dim(i, 0)
+        maps = {ab: d.matrix(*ab, 0) for ab in d.poset.chains2}
+        assert all(commutes(maps[a, b], maps[b, c], maps[a, c], p)
+                   for a, b, c in d.poset.chains3)
+        want = dense_limits(d.poset, dim, lambda a, b: maps[a, b], p)
+        assert higher_limits(d, 0) == want
+        for arrow in LOWER_ARROWS:
+            limits = VariantLimits(d, arrow, 0)
+            quotients += limits.quotient0.dim > 0 and limits.quotient1.dim > 0
+            assert limits(maps) == want, (trial, arrow)
+    assert quotients
+
+
+def test_sweep_leaves_out_the_smith_form():
+    # compiling linalg's Smith-form code (no bytecode cache) costs the sweep
+    # process about 0.75 MB of resident memory, and it uses none of it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, ecomu3.robustness; "
+            "print(sorted(m for m in sys.modules if m.startswith('ecomu3')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert "ecomu3.linalg" not in proc.stdout and "ecomu3.matrix" in proc.stdout

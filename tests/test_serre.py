@@ -3,7 +3,7 @@
 import pytest
 
 from ecomu3 import published
-from ecomu3.abelian import AbelianGroup, PoincareSeries
+from ecomu3.abelian import AbelianGroup, PoincareSeries, mod_p_series
 from ecomu3.serre import (Ambiguous, BigradedPage, Move, NoSolution,
                           RankTooLarge, DifferentialSpec, assemble_total,
                           forced_differentials, run_to_e_infinity,
@@ -112,6 +112,21 @@ def test_fl3xfl3_unique_solutions_and_answers(resolution, fl3xfl3):
         free_moves = [m for m in specs[0].moves if m.kind == "free"]
         assert len(free_moves) == 1
         assert free_moves[0].source == (0, 12)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_prime_to_six_answers_are_rational(resolution, flbar3, fl3xfl3, p):
+    """At a prime not dividing |S3| = 6 the mod-p series (the CLI's
+    universal-coefficient route) is the rational one: RATIONAL_SERIES, the
+    diagonal S3-invariants of the squared coinvariant algebra, for fl3xfl3,
+    and the S3-invariants of the coinvariant algebra, the constants, for
+    flbar3."""
+    for reps, top, want in [(fl3xfl3, 12, published.RATIONAL_SERIES),
+                            (flbar3, 6, PoincareSeries([1]))]:
+        page = serre_e2_over_bg(resolution, reps, p)
+        stable = run_to_e_infinity(page, solve_unique(page, top))
+        graded = assemble_total(stable, 6, top)
+        assert mod_p_series(graded, p).coefficients == want.coefficients
 
 
 def test_fl3xfl3_mod3_series_is_palindromic_not_printed(resolution):
