@@ -17,10 +17,9 @@ AbelianGroup(free_rank=5, torsion=[])
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
                      invariant_factors, modp_rank)
+from .matrix import is_prime
 
 
 class FrozenRecord:
@@ -185,10 +184,6 @@ def cohomology_dim_modp(d_in, d_out, p):
     return dim_ker - rk_im
 
 
-def is_prime(p):
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
-
-
 def p_primary(g, p):
     """Free part plus p-primary torsion: the group localized at p."""
     if not is_prime(p):
@@ -238,13 +233,6 @@ class PoincareSeries(FrozenRecord):
     def __add__(self, other):
         n = max(len(self.coefficients), len(other.coefficients))
         return PoincareSeries([self[i] + other[i] for i in range(n)])
-
-    def inflate(self, k):
-        """Substitute t -> t^k."""
-        out = [0] * (k * len(self.coefficients))
-        for i, c in enumerate(self.coefficients):
-            out[k * i] = c
-        return PoincareSeries(out)
 
     def total(self):
         return sum(self.coefficients)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .groups import GroupModule, symmetric_group
-from .linalg import IntMatrix
+from .matrix import IntMatrix
 
 
 class DecompositionAmbiguous(RuntimeError):

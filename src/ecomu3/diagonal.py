@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from .abelian import PoincareSeries
-from .coinvariants import CoinvariantAlgebra
 
 
 class NonRationalScalars(TypeError):
@@ -34,6 +33,8 @@ class TensorSquare:
     """Arithmetic in the tensor square of the coinvariant algebra."""
 
     def __init__(self, n):
+        # imported here: koszul needs only RingPresentation from this module
+        from .coinvariants import CoinvariantAlgebra
         self.n = n
         self.algebra = CoinvariantAlgebra(n)
 

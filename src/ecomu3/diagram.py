@@ -240,16 +240,6 @@ def load_bundled(prime):
     return PosetDiagram.from_json(json.loads(text))
 
 
-def constant_diagram(prime, dim=1, max_degree=0):
-    """The constant diagram F_p^dim with identity maps (a test fixture)."""
-    poset = PosetSn(2)
-    dims = {i: [dim] for i in range(len(poset))}
-    maps = {}
-    for (a, b) in poset.chains2:
-        maps[(a, b)] = {0: IntMatrix.identity(dim)}
-    return PosetDiagram(prime, dims, maps, max_degree)
-
-
 def commutes(first, second, composite, p):
     """True iff second . first == composite over F_p.
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .linalg import IntMatrix, ShapeMismatch
+from .matrix import IntMatrix, ShapeMismatch
 
 
 def _compose(a, b):

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .abelian import PoincareSeries
 from .diagonal import RingPresentation
-from .linalg import modp_rref
+from .matrix import modp_rref
 
 
 def poly_mul(a, b):

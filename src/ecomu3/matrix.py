@@ -11,6 +11,8 @@ Z^cols -> Z^rows (or F_p^cols -> F_p^rows) acting on column vectors.
 
 from __future__ import annotations
 
+from math import isqrt
+
 
 class ShapeMismatch(ValueError):
     """Raised when matrix dimensions do not compose."""
@@ -276,6 +278,10 @@ class Quotient:
             return self.fixed_rank
         return self.fixed_rank + EchelonBasis(self.p).insert_all(
             map(self.project, rows))
+
+
+def is_prime(p):
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def modp_rank(A, p):

@@ -145,13 +145,6 @@ class BigradedPage:
         clone.provenance = dict(self.provenance)
         return clone
 
-    def euler_characteristic(self):
-        """Alternating sum of (free + tors) over the stored window."""
-        out = 0
-        for c, q, free, tors in self.slots():
-            out += (-1) ** (c + q) * (free + tors)
-        return out
-
     def to_json(self):
         return {
             "prime": self.prime,

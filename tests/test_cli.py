@@ -55,6 +55,8 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["serre", "SQUARE_IN_GROUP_ORDER", "--prime", "2"],
     ["holim", "limits", "--diagram", "DIAGRAM_PRIME_4"],
     ["holim", "validate", "--diagram", "DIAGRAM_WRONG_DIMS"],
+    ["ecom-u3", "--prime", "2", "--diagram", "BUNDLED_P3"],
+    ["holim", "limits", "--prime", "2", "--diagram", "BUNDLED_P3"],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
@@ -72,6 +74,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
         "SQUARE_IN_GROUP_ORDER": json.dumps({**flbar3, "group_order": 12}),
         "DIAGRAM_PRIME_4": json.dumps(prime4),
         "DIAGRAM_WRONG_DIMS": json.dumps(wrong_dims),
+        "BUNDLED_P3": json.dumps(load_bundled(3).to_json()),
     }
     for name, text in files.items():
         (tmp_path / f"{name.lower()}.json").write_text(text)
@@ -153,6 +156,45 @@ def test_cli_import_leaves_out_dataclasses():
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def loaded_modules(argv):
+    """(exit code, ecomu3 modules loaded) of a fresh process that imports the
+    CLI and, if ``argv`` is not empty, runs it on ``argv``."""
+    code = ("import contextlib, io, sys\n"
+            "from ecomu3.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('ecomu3')))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    exit_code, *modules = proc.stdout.split()
+    return int(exit_code), {m.removeprefix("ecomu3.") for m in modules}
+
+
+def test_cli_import_loads_no_engine():
+    # without a bytecode cache every module loaded is compiled on each call
+    assert loaded_modules([]) == (0, {"ecomu3", "cli", "report"})
+
+
+@pytest.mark.parametrize("argv, runs, leaves_out", [
+    (["flag", "dims"], {"coinvariants", "groups", "matrix"},
+     {"linalg", "abelian", "resolution", "serre", "koszul", "diagonal",
+      "diagram", "limits"}),
+    (["snf", "[[2,4],[6,8]]"], {"linalg", "matrix"},
+     {"groups", "coinvariants", "resolution", "serre"}),
+    (["holim", "validate"], {"diagram", "limits"},
+     {"coinvariants", "resolution", "serre", "koszul", "diagonal", "abelian",
+      "linalg"}),
+    (["u3t2", "--prime", "2"], {"koszul", "diagonal"},
+     {"coinvariants", "groups", "resolution", "serre", "diagram", "limits"}),
+])
+def test_subcommand_loads_only_its_engines(argv, runs, leaves_out):
+    code, modules = loaded_modules(argv)
+    assert code == 0
+    assert runs <= modules and not leaves_out & modules, sorted(modules)
 
 
 def test_no_files_written(tmp_path):
@@ -248,6 +290,29 @@ def test_holim_and_ecom(capsys):
     assert data["results"]["graded_dimensions"] == \
         [1, 0, 0, 0, 2, 1, 3, 1, 3, 2, 3, 3, 2, 1, 0]
     assert data["results"]["published_match"] is True
+
+
+def test_diagram_file_sets_the_prime(tmp_path, capsys):
+    # without --prime, a diagram file is computed over its own prime; an
+    # explicit --prime must agree with it
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(load_bundled(3).to_json()))
+    code, from_file, _ = run(capsys, "--format", "json", "holim", "limits",
+                             "--diagram", str(path))
+    assert code == 0
+    code, bundled, _ = run(capsys, "--format", "json", "holim", "limits",
+                           "--prime", "3")
+    assert code == 0
+    assert json.loads(from_file)["results"] == json.loads(bundled)["results"]
+    code, out, _ = run(capsys, "--format", "json", "holim", "limits",
+                       "--prime", "3", "--diagram", str(path))
+    assert code == 0
+    assert json.loads(out)["results"] == json.loads(bundled)["results"]
+    for command in (["holim", "limits"], ["ecom-u3"]):
+        code, out, err = run(capsys, *command, "--prime", "2",
+                             "--diagram", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: --prime 2 differs from the diagram's prime 3\n"
 
 
 def test_ecom_mod2_reports_recorded_discrepancies(capsys):

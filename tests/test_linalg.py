@@ -10,35 +10,17 @@ from ecomu3.linalg import (CompositionNonzero, IntMatrix, Quotient,
                            kernel_basis_reduced, modp_kernel_basis, modp_rank,
                            modp_rref, modp_solve, smith_normal_form, solve)
 
-
-def det(M):
-    n = M.rows
-    a = M.to_lists()
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+from snf_oracle import det, invariant_factors_by_minors
 
 
 def check_snf(A):
     s = smith_normal_form(A)
     assert s.U * s.D * s.V == A
     if A.rows:
-        assert abs(det(s.U)) == 1
+        assert abs(det(s.U.to_lists())) == 1
         assert s.U * s.Uinv == IntMatrix.identity(A.rows)
     if A.cols:
-        assert abs(det(s.V)) == 1
+        assert abs(det(s.V.to_lists())) == 1
         assert s.V * s.Vinv == IntMatrix.identity(A.cols)
     f = s.invariant_factors
     assert all(x > 0 for x in f)
@@ -61,6 +43,14 @@ def thousand_random_matrices():
 def test_snf_thousand_random_matrices():
     for A in thousand_random_matrices():
         check_snf(A)
+
+
+def test_snf_matches_determinantal_divisors():
+    # an oracle with no row or column operations: d_k = gcd of the k x k
+    # minors, so the k-th invariant factor is d_k / d_(k-1)
+    for A in thousand_random_matrices():
+        assert smith_normal_form(A).invariant_factors == \
+            invariant_factors_by_minors(A), A
 
 
 def test_transform_free_paths_match_full_snf():

@@ -5,13 +5,21 @@ from itertools import product
 
 import pytest
 
-from ecomu3.diagram import PosetDiagram, constant_diagram
+from ecomu3.diagram import PosetDiagram
 from ecomu3.limits import (NonVanishingLim2, bk_assemble, cosimplicial_complex,
                            higher_limits, lim2_vanishing_check)
 from ecomu3.linalg import IntMatrix
 from ecomu3.poset import PosetSn
 
 from dense_oracle import dense
+
+
+def constant_diagram(prime, dim=1, max_degree=0):
+    """The constant diagram F_p^dim with identity maps."""
+    poset = PosetSn(2)
+    dims = {i: [dim] for i in range(len(poset))}
+    maps = {(a, b): {0: IntMatrix.identity(dim)} for (a, b) in poset.chains2}
+    return PosetDiagram(prime, dims, maps, max_degree)
 
 
 def test_poset_counts():
