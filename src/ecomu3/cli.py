@@ -74,7 +74,7 @@ def _read_file(path, what):
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
         raise CommandError(f"cannot read {what}: {exc}")
 
 
@@ -92,7 +92,7 @@ def load_config(name_or_path):
         try:
             text = resources.files("ecomu3.data").joinpath(
                 f"{name_or_path}.json").read_text()
-        except FileNotFoundError:
+        except (OSError, ValueError):           # ValueError: a NUL in the name
             raise CommandError(f"no such fibration config: {name_or_path}")
     config = _parse_json(text, "fibration config")
     _check_config(config)
@@ -311,6 +311,8 @@ def cmd_holim(args, report):
             report.add_note(note)
         return
     if args.holim_op == "limits":
+        if args.degree is not None and args.degree < 0:
+            raise CommandError(f"--degree {args.degree} is negative")
         ks = [args.degree] if args.degree is not None else \
             range(diagram.max_degree + 1)
         rows = []

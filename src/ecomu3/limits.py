@@ -119,10 +119,11 @@ def cosimplicial_complex(diagram, k):
 
 
 def check_complex(matrix, chains3, k, p):
-    """Raise unless delta1 . delta0 = 0 in fiber degree k.
+    """Raise unless delta1 . delta0 = 0 at the given 3-chains in fiber degree k.
 
-    ``matrix(a, b)`` gives the map a -> b; the product vanishes iff every
-    3-chain commutes over F_p (see the module docstring).
+    ``matrix(a, b)`` gives the map a -> b; the product's block at a 3-chain
+    vanishes iff the chain commutes over F_p (see the module docstring), so
+    passing every 3-chain checks the whole product.
     """
     for a, b, c in chains3:
         if not commutes(matrix(a, b), matrix(b, c), matrix(a, c), p):

@@ -111,6 +111,8 @@ class _Parser:
             return {(tuple(ex), tuple(ey)): Fraction(1)}
         if "/" in tok:
             a, b = tok.split("/")
+            if not int(b):
+                raise ParseError(f"zero denominator in {tok!r}")
             return _const(Fraction(int(a), int(b)), self.n)
         if tok.isdigit():
             return _const(Fraction(int(tok)), self.n)

@@ -9,7 +9,6 @@ block, and a report round-trips through its JSON form losslessly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 
@@ -30,6 +29,8 @@ class Report:
         self._t0 = time.monotonic()
 
     def add_input_hash(self, name, content):
+        # hashlib loads OpenSSL, which most calls (no input file) never use
+        import hashlib
         if isinstance(content, str):
             content = content.encode()
         self.data["inputs"][name] = hashlib.sha256(content).hexdigest()

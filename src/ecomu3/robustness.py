@@ -15,7 +15,10 @@ of each differential those arrows cannot reach is reduced once per (arrow,
 degree), and each variant ranks only its own rows of delta0 and columns of
 delta1 modulo that part (see :class:`VariantLimits`).  The completion, too,
 builds once per block what the varied arrow cannot change
-(:class:`Completion`).
+(:class:`Completion`).  The completion sets m(0,6) = m(3,6) m(0,3),
+m(1,6) = m(3,6) m(1,3) and m(2,6) = m(2,4) with m(4,6) the identity, so the
+chains (0,3,6), (1,3,6) and (2,4,6) commute by construction; a variant
+multiplies out only the other three, the ones its F_p solve closes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import product as iproduct
 from .diagram import equal_modp
 from .limits import (CochainLayout, check_complex, higher_limits,
                      lims_from_ranks)
-from .matrix import IntMatrix, Quotient, modp_rref, modp_solve
+from .matrix import IntMatrix, Quotient, modp_rank, modp_rref, modp_solve
 
 # the maps out of (0) are pinned canonical inclusions (their twist freedom is
 # a basis gauge); the other four lower arrows are genuinely under-determined
@@ -65,12 +68,8 @@ def _gl_elements(r, p, rng):
     """All of GL_r(F_p) if small, else a deterministic sample."""
     total_candidates = p ** (r * r)
     if total_candidates <= EXHAUSTIVE_LIMIT * 4:
-        out = []
-        for entries in iproduct(range(p), repeat=r * r):
-            g = IntMatrix(r, r, entries)
-            if _invertible(g, p):
-                out.append(g)
-        return out, True
+        return [IntMatrix(r, r, [e for row in rows for e in row])
+                for rows in _independent_rows(r, p)], True
     out = []
     seen = set()
     while len(out) < SAMPLE_SIZE:
@@ -78,14 +77,24 @@ def _gl_elements(r, p, rng):
         if g.entries in seen:
             continue
         seen.add(g.entries)
-        if _invertible(g, p):
+        if modp_rank(g, p) == r:
             out.append(g)
     return out, False
 
 
-def _invertible(g, p):
-    _, pivots = modp_rref([g.row(i) for i in range(g.rows)], g.cols, p)
-    return len(pivots) == g.rows
+def _independent_rows(r, p):
+    """Every r-tuple of linearly independent vectors of F_p^r, in
+    lexicographic order: each is drawn from outside the span of those before
+    it.  As rows, these are the invertible matrices in the row-major order of
+    their entries."""
+    vectors = list(iproduct(range(p), repeat=r))
+    partial = [((), {(0,) * r})]          # rows so far, and their span
+    for _ in range(r - 1):
+        partial = [(rows + (v,), {tuple((x + c * y) % p for x, y in zip(s, v))
+                                  for s in span for c in range(p)})
+                   for rows, span in partial for v in vectors if v not in span]
+    return [rows + (v,) for rows, span in partial
+            for v in vectors if v not in span]
 
 
 def kernel_image_variants(m, p, rng):
@@ -113,7 +122,15 @@ class Completion:
     which is solved exactly over F_p.  Whatever the varied arrow cannot
     change (dims, system rows, right-hand sides, the identity (0,2) ->
     (0,1,2)) is built once here.
+
+    The maps (0) -> (0,1,2) and (1) -> (0,1,2) are defined as the composites
+    through (0,1), and (2) -> (0,1,2) as the one through (0,2), so the
+    chains (0,3,6), (1,3,6) and (2,4,6) commute by construction.  The
+    ``solved_chains`` are the other three: the solve closes them, and
+    :meth:`VariantLimits.of_completion` checks them.
     """
+
+    solved_chains = ((0, 4, 6), (1, 5, 6), (2, 5, 6))
 
     def __init__(self, diagram, arrow, k):
         self.p = p = diagram.prime
@@ -233,11 +250,19 @@ class VariantLimits:
 
         Raises like :func:`higher_limits` when delta1 . delta0 != 0.
         """
+        return self._limits(maps, self.chains3)
+
+    def of_completion(self, maps):
+        """``self(maps)`` for maps returned by a :class:`Completion`, which
+        checks only the chains the completion's solve closes."""
+        return self._limits(maps, Completion.solved_chains)
+
+    def _limits(self, maps, chains3):
         diagram, p = self.diagram, self.p
         for ab, m in self.kept.items():
             if maps[ab] is not m and not equal_modp(maps[ab], m, p):
                 raise ValueError(f"variant changes {diagram.arrow_name(*ab)}")
-        check_complex(lambda a, b: maps[a, b], self.chains3, self.degree, p)
+        check_complex(lambda a, b: maps[a, b], chains3, self.degree, p)
         layout = self.layout
         r0 = self.quotient0.rank(
             row for a, b in self.changed0
@@ -269,7 +294,7 @@ def check_block(diagram, arrow, degree, rng_seed=0):
         if completion is None:
             continue
         compatible += 1
-        if variant_limits(completion)[:2] != baseline:
+        if variant_limits.of_completion(completion)[:2] != baseline:
             stable = False
             break
     return {"baseline": baseline, "variants": len(variants),

@@ -1,5 +1,7 @@
 """The command-line surface: reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ecomu3.cli import main
 from ecomu3.diagram import load_bundled
@@ -57,6 +60,10 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["holim", "validate", "--diagram", "DIAGRAM_WRONG_DIMS"],
     ["ecom-u3", "--prime", "2", "--diagram", "BUNDLED_P3"],
     ["holim", "limits", "--prime", "2", "--diagram", "BUNDLED_P3"],
+    ["holim", "limits", "--degree", "-1"],
+    ["holim", "e2", "--diagram", "nul\x00.json"],
+    ["serre", "nul\x00", "--prime", "2"],
+    ["flag", "nf", "1/0"],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
@@ -83,6 +90,15 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_undecodable_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe[[1]]")
+    for argv in (["snf", str(path)], ["holim", "e2", "--diagram", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -156,6 +172,22 @@ def test_cli_import_leaves_out_dataclasses():
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [[], ["grpcoh", "S3", "trivial", "2"]])
+def test_cli_leaves_out_hashlib(argv):
+    # hashlib loads OpenSSL's _hashlib, about 5 ms of a fresh call; only a
+    # call that hashes an input file needs it
+    code = ("import contextlib, io, sys\n"
+            "from ecomu3.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=1) == ["0", "[]\n"]
 
 
 def loaded_modules(argv):
@@ -362,3 +394,48 @@ def test_json_and_text_agree(capsys):
     data = json.loads(js)["results"]
     assert data["presentation"] in txt
     assert ", ".join(str(c) for c in data["series"]) in txt
+
+
+SUBCOMMANDS = ["snf", "grpcoh", "flag", "serre", "u3t2", "holim", "ecom-u3",
+               "rational-ring"]
+# words the parser and the handlers know, so that a drawn argv often gets
+# past the parser; degrees stay <= 14, so no example builds a large flag rep
+WORDS = st.sampled_from([
+    *SUBCOMMANDS, "nf", "mul", "rep", "kunneth", "dims", "validate", "limits",
+    "e2", "S3", "trivial", "sign", "standard", "standard(x)sign", "flbar3",
+    "fl3xfl3", "x1", "x1*x2+1", "(x1+x2)^2", "[[2,0],[0,3]]", "json", "text"])
+NUMBERS = st.one_of(st.integers(-3, 14).map(str),
+                    st.sampled_from(["2", "3", "5", "7", "0", "1", "4", "6",
+                                     "9", "25"]))
+JUNK = st.one_of(st.text(max_size=6),
+                 st.sampled_from(["", ".", "\x00", "-", "--", "1/0", "x1^",
+                                  "[[1,2]", "[[1],[2,3]]", "{}", "[]"]))
+TOKENS = st.one_of(WORDS, NUMBERS, JUNK)
+OPTIONS = st.one_of(st.tuples(st.sampled_from(["--prime", "--degree"]), NUMBERS),
+                    st.tuples(st.sampled_from(["--diagram", "--format"]), TOKENS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(TOKENS, max_size=6),
+    st.builds(lambda command, operands, options: [
+                  command, *operands, *(t for option in options for t in option)],
+              st.sampled_from(SUBCOMMANDS), st.lists(TOKENS, max_size=3),
+              st.lists(OPTIONS, max_size=3))))
+# always run: a NUL byte in a config name or a path, a zero denominator
+@example(["serre", "\x00", "--prime", "2"])
+@example(["holim", "e2", "--diagram", "\x00"])
+@example(["flag", "nf", "1/0"])
+def test_fuzzed_argv_exits_cleanly(argv):
+    """Any argv ends in exit 0, 1 or 2 without a traceback; exit 1 is one
+    ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

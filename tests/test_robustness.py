@@ -11,6 +11,8 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice, product as iproduct
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -20,8 +22,10 @@ from ecomu3.limits import (CochainLayout, cosimplicial_complex,
                            higher_limits)
 from ecomu3.linalg import IntMatrix, modp_rref
 from ecomu3.poset import PosetSn
-from ecomu3.robustness import (COMPLETED_ARROWS, LOWER_ARROWS, Completion,
-                               VariantLimits, kernel_image_variants)
+from ecomu3.robustness import (COMPLETED_ARROWS, EXHAUSTIVE_LIMIT,
+                               LOWER_ARROWS, SAMPLE_SIZE, Completion,
+                               VariantLimits, _gl_elements,
+                               kernel_image_variants)
 
 from dense_oracle import dense, dense_complex, dense_limits
 
@@ -85,6 +89,7 @@ def test_variant_limits_match_dense_oracle(diagram):
             want = dense_limits(diagram.poset, lambda i: diagram.dim(i, k),
                                 lambda a, b: completion[a, b], p)
             assert limits(completion) == want, (arrow, k)
+            assert limits.of_completion(completion) == want, (arrow, k)
             done += 1
             if done == SAMPLE:
                 break
@@ -116,6 +121,28 @@ def test_uncompleted_variant_is_not_a_complex(diagram):
     assert raised >= 1
 
 
+def test_check_block_path_catches_a_wrong_completion(diagram):
+    """One entry of m(5,6) off by one in a compatible variant's completion
+    breaks the chain (1,5,6) or (2,5,6), which the check_block path
+    (VariantLimits.of_completion) still multiplies out."""
+    p, raised = diagram.prime, 0
+    for arrow, k, m, variants in _blocks(diagram):
+        maps = next(filter(None, map(Completion(diagram, arrow, k), variants)))
+        b3 = maps[5, 6]
+        # a column of m(5,6) that the image of m(1,5) or m(2,5) reaches
+        hit = [j for j in range(b3.cols)
+               if any(e % p for e in maps[1, 5].row(j) + maps[2, 5].row(j))]
+        if not hit or not b3.rows:
+            continue
+        entries = list(b3.entries)
+        entries[hit[0]] += 1
+        maps[5, 6] = IntMatrix(b3.rows, b3.cols, entries)
+        with pytest.raises(AssertionError, match="delta1 . delta0 != 0"):
+            VariantLimits(diagram, arrow, k).of_completion(maps)
+        raised += 1
+    assert raised >= 1
+
+
 def test_variant_limits_refuse_a_changed_kept_arrow():
     d = load_bundled(2)
     k = 3
@@ -128,10 +155,20 @@ def test_variant_limits_refuse_a_changed_kept_arrow():
 
 def test_completion_of_the_bundled_map_is_functorial(diagram):
     """Completing a block's own matrix gives back a functorial diagram that
-    keeps every arrow outside COMPLETED_ARROWS and has the baseline limits."""
+    keeps every arrow outside COMPLETED_ARROWS and has the baseline limits.
+    The first compatible variants of every block complete to functorial
+    diagrams too, also along the three chains that the check_block path
+    takes as closed by construction."""
     p = diagram.prime
-    for arrow, k, m, _ in _blocks(diagram):
-        maps = Completion(diagram, arrow, k)(m)
+    closed = set(diagram.poset.chains3) - set(Completion.solved_chains)
+    assert closed == {(0, 3, 6), (1, 3, 6), (2, 4, 6)}
+    for arrow, k, m, variants in _blocks(diagram):
+        complete = Completion(diagram, arrow, k)
+        for maps in islice(filter(None, map(complete, variants)), 3):
+            for a, b, c in diagram.poset.chains3:
+                assert commutes(maps[a, b], maps[b, c], maps[a, c], p), (
+                    arrow, k, (a, b, c))
+        maps = complete(m)
         assert maps is not None, (arrow, k)
         for a, b, c in diagram.poset.chains3:
             assert commutes(maps[a, b], maps[b, c], maps[a, c], p)
@@ -236,3 +273,45 @@ def test_sweep_leaves_out_the_smith_form():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert "ecomu3.linalg" not in proc.stdout and "ecomu3.matrix" in proc.stdout
+
+
+def _invertible(g, p):
+    _, pivots = modp_rref([g.row(i) for i in range(g.rows)], g.cols, p)
+    return len(pivots) == g.rows
+
+
+def _exhaustive_sizes():
+    return [(r, p) for p in (2, 3, 5) for r in range(1, 5)
+            if p ** (r * r) <= 4 * EXHAUSTIVE_LIMIT]
+
+
+@pytest.mark.parametrize("r, p", _exhaustive_sizes())
+def test_gl_elements_enumerate_the_invertible_matrices(r, p):
+    """Row by row outside the span of the rows above gives exactly the
+    invertible matrices among all of F_p^(r x r), in the same order."""
+    got, exhaustive = _gl_elements(r, p, random.Random(0))
+    want = [g for g in (IntMatrix(r, r, e)
+                        for e in iproduct(range(p), repeat=r * r))
+            if _invertible(g, p)]
+    assert exhaustive and got == want
+    assert len({g.entries for g in got}) == len(got)
+    assert len(got) == prod(p ** r - p ** i for i in range(r))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+def test_gl_sample_is_the_rejection_sample(r, seed):
+    """The sampled branch draws what the row-reducing rejection sampler drew,
+    and leaves the generator in the same state."""
+    p = 3
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    got, exhaustive = _gl_elements(r, p, rng)
+    want, seen = [], set()
+    while len(want) < SAMPLE_SIZE:
+        g = IntMatrix(r, r, [old_rng.randrange(p) for _ in range(r * r)])
+        if g.entries not in seen:
+            seen.add(g.entries)
+            if _invertible(g, p):
+                want.append(g)
+    assert not exhaustive and got == want
+    assert rng.random() == old_rng.random()
