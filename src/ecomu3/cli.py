@@ -228,8 +228,11 @@ def cmd_flag(args, report):
 
 
 def _poly_out(poly):
-    return {"+".join(f"x{i+1}^{e}" for i, e in enumerate(k) if e) or "1": str(c)
-            for k, c in sorted(poly.items())}
+    try:
+        return {"+".join(f"x{i+1}^{e}" for i, e in enumerate(k) if e) or "1": str(c)
+                for k, c in sorted(poly.items())}
+    except ValueError:      # more digits than the interpreter converts
+        raise CommandError("a coefficient has too many digits to print")
 
 
 def cmd_serre(args, report):
@@ -412,7 +415,8 @@ def cmd_ecom_u3(args, report):
 
 def cmd_rational_ring(args, report):
     from . import published
-    from .diagonal import RelationFailure, invariant_ring_presentation
+    from .diagonal import (RelationFailure, TensorSquare,
+                           invariant_ring_presentation)
     try:
         pres, checks, basis, discrepancies = invariant_ring_presentation()
     except RelationFailure as exc:
@@ -421,7 +425,8 @@ def cmd_rational_ring(args, report):
     report.add_result("verified_relations", checks)
     poly = pres.poincare_polynomial(12)
     report.add_result("poincare_polynomial", list(poly.coefficients))
-    report.add_result("basis_degrees", [0, 4, 6, 6, 8, 12])
+    report.add_result("basis_degrees", [TensorSquare.cohomological_degree(c)
+                                        for c in basis.values()])
     for note in discrepancies:
         report.add_note(note)
     if poly.coefficients != published.RATIONAL_SERIES.coefficients:

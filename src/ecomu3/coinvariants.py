@@ -23,27 +23,14 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .groups import GroupModule, symmetric_group
 from .matrix import IntMatrix
+from .polynomial import monomials_of_degree, poly_mul
 
 
 class DecompositionAmbiguous(RuntimeError):
     """Raised when a representation matches zero or several catalog modules."""
-
-
-def monomials_of_degree(n, d):
-    """Exponent tuples of total degree d in n variables, lexicographic."""
-    if n == 0:
-        return [()] if d == 0 else []
-    out = []
-    for picks in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for i in picks:
-            e[i] += 1
-        out.append(tuple(e))
-    return sorted(set(out), reverse=True)
 
 
 def elementary_symmetric(n, i):
@@ -55,19 +42,6 @@ def elementary_symmetric(n, i):
         for j in subset:
             e[j] = 1
         out[tuple(e)] = 1
-    return out
-
-
-def poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
     return out
 
 
@@ -106,7 +80,7 @@ class CoinvariantAlgebra:
                 for e, c in prod.items():
                     row[col_of[e]] = Fraction(c)
                 rows.append(row)
-        rref = _rref(rows)
+        rref = rational_rref(rows)
         table = {}
         for m in stair:
             table[m] = {m: 1}
@@ -192,14 +166,13 @@ class CoinvariantAlgebra:
         return GroupModule(group, len(basis), gens, name=f"flag-degree-{degree}")
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fraction; returns the nonzero rows."""
-    mat = [list(r) for r in rows]
+def rational_rref(rows):
+    """Reduced row echelon form over Fraction; returns the nonzero rows, so
+    their number is the rank over Q.  The one elimination over Q."""
     out = []
     lead_cols = {}
-    width = len(mat[0]) if mat else 0
-    for row in mat:
-        row = row[:]
+    for row in rows:
+        row = list(row)
         while True:
             lead = next((i for i, c in enumerate(row) if c), None)
             if lead is None:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .abelian import PoincareSeries
+from .polynomial import poly_add, poly_mul, poly_scale
 
 
 class NonRationalScalars(TypeError):
@@ -57,30 +58,14 @@ class TensorSquare:
         return out
 
     def multiply(self, a, b):
-        out = {}
-        for (ex, ey), c in a.items():
-            for (fx, fy), d in b.items():
-                key = (tuple(p + q for p, q in zip(ex, fx)),
-                       tuple(p + q for p, q in zip(ey, fy)))
-                v = out.get(key, 0) + c * d
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return self.normal_form(out)
+        # as polynomials in the 2n variables x_1..x_n, y_1..y_n
+        n = self.n
+        product = poly_mul({ex + ey: c for (ex, ey), c in a.items()},
+                           {ex + ey: c for (ex, ey), c in b.items()})
+        return self.normal_form({(e[:n], e[n:]): c for e, c in product.items()})
 
-    def scale(self, c, element):
-        return {k: c * v for k, v in element.items() if c * v}
-
-    def add(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return out
+    scale = staticmethod(poly_scale)
+    add = staticmethod(poly_add)
 
     def permute(self, perm, element):
         """The diagonal action: the same permutation on x and y variables."""
@@ -107,7 +92,8 @@ class TensorSquare:
         inv = Fraction(1, len(perms))
         return {k: v * inv for k, v in total.items() if v}
 
-    def cohomological_degree(self, element):
+    @staticmethod
+    def cohomological_degree(element):
         """Twice the (bi-homogeneous) polynomial degree, or None for 0."""
         degs = {2 * (sum(ex) + sum(ey)) for (ex, ey), c in element.items() if c}
         if not degs:
@@ -161,22 +147,8 @@ def descent_basis(n):
 
 
 def rank_over_q(ts, elements):
-    return _rational_rank(ts.coordinates(elements))
-
-
-def _rational_rank(rows):
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for lead, pivot in pivots:
-            if row[lead]:
-                f = row[lead]
-                row = [a - f * b for a, b in zip(row, pivot)]
-        lead = next((i for i, c in enumerate(row) if c), None)
-        if lead is not None:
-            inv = row[lead]
-            pivots.append((lead, [a / inv for a in row]))
-    return len(pivots)
+    from .coinvariants import rational_rref
+    return len(rational_rref(ts.coordinates(elements)))
 
 
 class RingPresentation:

@@ -22,20 +22,8 @@ from itertools import combinations
 
 from .abelian import PoincareSeries
 from .diagonal import RingPresentation
-from .matrix import modp_rref
-
-
-def poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
+from .matrix import EchelonBasis, modp_rref
+from .polynomial import monomials_of_degree, poly_mul
 
 
 def whitney_chern(weights):
@@ -64,22 +52,6 @@ def whitney_chern(weights):
         ci = {e: c for e, c in total.items() if sum(e) == i}
         cherns.append(ci)
     return cherns
-
-
-def monomials(k, d):
-    """Exponent tuples of total degree d in k variables."""
-    if k == 0:
-        return [()] if d == 0 else []
-    out = []
-    for cut in combinations(range(d + k - 1), k - 1):
-        prev = -1
-        e = []
-        for c in cut:
-            e.append(c - prev - 1)
-            prev = c
-        e.append(d + k - 2 - prev)
-        out.append(tuple(e))
-    return sorted(out, reverse=True)
 
 
 class BaseQuotient:
@@ -123,7 +95,7 @@ class BaseQuotient:
         """RREF of the degree-d slice of the relation ideal, plus pivots."""
         if d in self._slices:
             return self._slices[d]
-        monos = [m for m in monomials(self.k, d)
+        monos = [m for m in monomials_of_degree(self.k, d)
                  if all(m[v] == 0 for v in self.subs)]
         index = {m: i for i, m in enumerate(monos)}
         rows = []
@@ -131,7 +103,7 @@ class BaseQuotient:
             rd = next(sum(e) for e in rel)
             if rd > d:
                 continue
-            for m in monomials(self.k, d - rd):
+            for m in monomials_of_degree(self.k, d - rd):
                 if any(m[v] for v in self.subs):
                     continue
                 prod = poly_mul({m: 1}, rel)
@@ -222,53 +194,43 @@ def koszul_homology_series(cherns, k, p, top):
             if zdeg > reach:
                 continue
             for d in range(0, (reach - zdeg) // 2 + 1):
-                for mono in monomials(k, d):
+                for mono in monomials_of_degree(k, d):
                     basis.setdefault(zdeg + 2 * d, []).append((S, mono))
     index = {deg: {b: i for i, b in enumerate(items)}
              for deg, items in basis.items()}
 
-    def differential(deg):
-        """Matrix of d: degree -> degree + 1 over F_p (rows = target)."""
-        src = basis.get(deg, [])
+    def rank(deg):
+        """F_p rank of d: degree -> degree + 1, from its sparse target rows."""
         tgt = index.get(deg + 1, {})
-        rows = [[0] * len(src) for _ in range(len(tgt))]
-        for j, (S, mono) in enumerate(src):
+        rows = {}
+        for j, (S, mono) in enumerate(basis.get(deg, [])):
             for pos, i in enumerate(S):
                 rest = tuple(x for x in S if x != i)
                 sign = (-1) ** pos
                 for e, c in cmods[i - 1].items():
                     key = (rest, tuple(a + b for a, b in zip(mono, e)))
                     if key in tgt:
-                        rows[tgt[key]][j] = (rows[tgt[key]][j] + sign * c) % p
-        return rows, len(src)
+                        row = rows.setdefault(tgt[key], {})
+                        row[j] = (row.get(j, 0) + sign * c) % p
+        return EchelonBasis(p).insert_all(
+            {j: v for j, v in row.items() if v} for row in rows.values())
 
-    dims = []
-    for deg in range(top + 1):
-        rows_out, n_src = differential(deg)
-        rk_out = len(modp_rref(rows_out, n_src, p)[1]) if rows_out and n_src else 0
-        if deg == 0:
-            rk_in = 0
-        else:
-            rows_in, n_prev = differential(deg - 1)
-            rk_in = len(modp_rref(rows_in, n_prev, p)[1]) if rows_in and n_prev else 0
-        dims.append(n_src - rk_out - rk_in)
-    return PoincareSeries(dims)
+    ranks = [rank(deg) for deg in range(top + 1)]
+    return PoincareSeries([len(basis.get(deg, [])) - ranks[deg]
+                           - (ranks[deg - 1] if deg else 0)
+                           for deg in range(top + 1)])
 
 
-def format_poly(poly, k):
+def format_poly(poly, names):
+    """A polynomial as text, ``names[j]`` naming variable j."""
     if not poly:
         return "0"
     terms = []
     for e in sorted(poly, reverse=True):
         c = poly[e]
-        factors = []
-        for j, exp in enumerate(e):
-            if exp == 1:
-                factors.append(f"b{j + 1}")
-            elif exp > 1:
-                factors.append(f"b{j + 1}^{exp}")
-        mono = "*".join(factors) or "1"
-        terms.append(mono if c == 1 and factors else f"{c}*{mono}" if factors else str(c))
+        mono = "*".join(names[j] if exp == 1 else f"{names[j]}^{exp}"
+                        for j, exp in enumerate(e) if exp)
+        terms.append(f"{c}*{mono}" if mono and c != 1 else mono or str(c))
     return " + ".join(terms)
 
 
@@ -282,6 +244,7 @@ def transgressive_quotient(weights, p, top=16):
     cherns = whitney_chern(weights)
     k = len(weights[0]) if weights else 0
     ring = BaseQuotient(k, p)
+    names = [f"b{j + 1}" for j in range(k)]
     steps = []
     survivors = []
     for i, ci in enumerate(cherns, start=1):
@@ -291,8 +254,8 @@ def transgressive_quotient(weights, p, top=16):
         steps.append({
             "generator": f"z{2 * i - 1}",
             "page": 2 * i,
-            "raw": format_poly(raw, k),
-            "reduced": format_poly(reduced, k),
+            "raw": format_poly(raw, names),
+            "reduced": format_poly(reduced, names),
             "dies": dies,
         })
         if dies:
@@ -300,30 +263,11 @@ def transgressive_quotient(weights, p, top=16):
         else:
             survivors.append(2 * i - 1)
 
-    gens = [(f"z{d}", d) for d in survivors]
-    relations = [f"z{d}^2" for d in survivors]
     live = ring.variables
-    rename = {}
-    if len(live) == 1:
-        rename[live[0]] = "b"
-    else:
-        for j in live:
-            rename[j] = f"b{j + 1}"
-    for j in live:
-        gens.append((rename[j], 2))
-    for rel in ring.relations:
-        terms = []
-        for e in sorted(rel, reverse=True):
-            c = rel[e]
-            factors = []
-            for j, exp in enumerate(e):
-                if exp == 1:
-                    factors.append(rename[j])
-                elif exp > 1:
-                    factors.append(f"{rename[j]}^{exp}")
-            mono = "*".join(factors)
-            terms.append(mono if c == 1 else f"{c}*{mono}")
-        relations.append(" + ".join(terms))
+    rename = {j: "b" if len(live) == 1 else f"b{j + 1}" for j in live}
+    gens = [(f"z{d}", d) for d in survivors] + [(rename[j], 2) for j in live]
+    relations = [f"z{d}^2" for d in survivors] + [
+        format_poly(rel, rename) for rel in ring.relations]
     pres = RingPresentation(gens, relations, field=f"F{p}")
 
     series = PoincareSeries([1])

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Z: Smith normal form, kernels, solutions.
+"""Exact linear algebra over Z: Smith normal form, kernels, solutions, and
+the one Hermite lattice (:class:`ColumnLattice`).
 
 Everything here is arbitrary precision: matrix entries are Python ints, so
 Smith normal form pivoting can blow coefficients up without ever overflowing.
@@ -236,40 +237,73 @@ def kernel_basis_reduced(A):
     small, which is what stops pivot growth from compounding across the
     degrees of a resolution.
     """
-    raw = kernel_basis(A)
-    pivots = {}
-    for vec in raw:
+    lattice = ColumnLattice(A.cols)
+    for v in kernel_basis(A):
+        lattice.add(v)
+    return lattice.hermite_basis()
+
+
+class ColumnLattice:
+    """Growing sublattice of Z^dim with a triangular basis for membership.
+
+    ``pivots[row]`` is the basis vector whose first nonzero entry, positive,
+    is at ``row``.
+    """
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.pivots = {}
+
+    def add(self, vec):
+        """Enlarge the lattice by ``vec``, one xgcd step per pivot it meets."""
         v = list(vec)
-        for row in range(len(v)):
+        for row in range(self.dim):
             if v[row] == 0:
                 continue
-            if row in pivots:
-                b = pivots[row]
+            if row in self.pivots:
+                b = self.pivots[row]
                 if v[row] % b[row] == 0:
                     q = v[row] // b[row]
                     v = [a - q * c for a, c in zip(v, b)]
                 else:
                     g, x, y = _xgcd(b[row], v[row])
                     nb = [x * a + y * c for a, c in zip(b, v)]
-                    nv = [(b[row] // g) * c - (v[row] // g) * a for a, c in zip(b, v)]
-                    pivots[row] = nb
+                    nv = [(b[row] // g) * c - (v[row] // g) * a
+                          for a, c in zip(b, v)]
+                    self.pivots[row] = nb
                     v = nv
             else:
                 if v[row] < 0:
                     v = [-a for a in v]
-                pivots[row] = v
-                break
-    # reduce entries above each pivot
-    order = sorted(pivots)
-    for i, r in enumerate(order):
-        b = pivots[r]
-        for r2 in order[i + 1:]:
-            c = pivots[r2]
-            if b[r2]:
-                q = b[r2] // c[r2]
-                if q:
-                    pivots[r] = b = [a - q * d for a, d in zip(b, c)]
-    return [pivots[r] for r in order]
+                self.pivots[row] = v
+                return
+
+    def contains(self, vec):
+        v = list(vec)
+        for row in range(self.dim):
+            if v[row] == 0:
+                continue
+            b = self.pivots.get(row)
+            if b is None or v[row] % b[row] != 0:
+                return False
+            q = v[row] // b[row]
+            v = [a - q * c for a, c in zip(v, b)]
+        return True
+
+    def hermite_basis(self):
+        """The basis in pivot order, each entry above a later pivot reduced
+        into [0, pivot): the lattice's canonical Hermite form."""
+        pivots = self.pivots
+        order = sorted(pivots)
+        for i, r in enumerate(order):
+            b = pivots[r]
+            for r2 in order[i + 1:]:
+                c = pivots[r2]
+                if b[r2]:
+                    q = b[r2] // c[r2]
+                    if q:
+                        pivots[r] = b = [a - q * d for a, d in zip(b, c)]
+        return [pivots[r] for r in order]
 
 
 def _xgcd(a, b):

@@ -1,9 +1,13 @@
 """The integer matrix type and linear algebra over prime fields.
 
-Matrix entries are Python ints.  Mod-p ranks eliminate sparse rows, because
-the cochain differentials of the higher-limits code are mostly identity and
-zero blocks.  Smith normal form and integer kernels, which the limits and the
-robustness sweep never use, are in :mod:`ecomu3.linalg`.
+Matrix entries are Python ints.  Every rank over F_p is taken by inserting
+sparse rows into an :class:`EchelonBasis` (:func:`modp_rank`,
+:class:`Quotient`, the Koszul oracle), because the cochain differentials of
+the higher-limits code are mostly identity and zero blocks.  :func:`modp_rref`
+is the dense reducer that solutions, kernels and normal forms read, and the
+tests' independent oracle for those ranks.  Smith normal form and integer
+kernels, which the limits and the robustness sweep never use, are in
+:mod:`ecomu3.linalg`.
 
 A matrix with ``rows`` rows and ``cols`` columns represents a homomorphism
 Z^cols -> Z^rows (or F_p^cols -> F_p^rows) acting on column vectors.

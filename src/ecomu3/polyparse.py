@@ -5,16 +5,29 @@ Accepted: variables x1..xn and y1..yn, integer or rational coefficients
 factors need explicit ``*``.  x-variables address the left tensor factor and
 y-variables the right one; pure-x input parses to a plain polynomial.
 
+Every parsed polynomial is read in the coinvariant algebra (or its tensor
+square), which is 0 above polynomial degree n(n-1)/2, so terms of x-degree
+or y-degree above that are dropped as they arise.  A power is then a short
+binomial sum however large its exponent.  A numeral, or the constant term of
+a power, with more digits than the interpreter converts
+(``sys.get_int_max_str_digits``) is a ParseError.
+
 >>> parse_polynomial("x1 + x2 + x3", n=3)
 {(1, 0, 0): Fraction(1, 1), (0, 1, 0): Fraction(1, 1), (0, 0, 1): Fraction(1, 1)}
 >>> parse_tensor("x1*x2 * y2*y3", n=3)[((1, 1, 0), (0, 1, 1))]
 Fraction(1, 1)
+>>> parse_polynomial("x1^99999999 + (1 + x2)^4", n=3)[(0, 3, 0)]
+Fraction(4, 1)
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import comb, log10
+
+from .polynomial import poly_add, poly_mul, poly_scale
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[xy]\d+|\^|\*|\+|-|\(|\))")
 
@@ -35,13 +48,26 @@ def _tokenize(text):
     return out
 
 
+def _integer(digits):
+    try:
+        return int(digits)
+    except ValueError:      # more digits than the interpreter converts
+        raise ParseError(f"a numeral of {len(digits)} digits is too long") from None
+
+
 class _Parser:
-    """Recursive descent over sum -> term -> power -> atom."""
+    """Recursive descent over sum -> term -> power -> atom.
+
+    Polynomials are {exponents: Fraction} over the 2n variables x_1..x_n,
+    y_1..y_n.
+    """
 
     def __init__(self, tokens, n):
         self.tokens = tokens
         self.pos = 0
         self.n = n
+        self.top = n * (n - 1) // 2
+        self.one = (0,) * (2 * n)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -58,39 +84,55 @@ class _Parser:
         return value
 
     def sum(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        total = _scale(self.term(), sign)
-        while self.peek() in ("+", "-"):
+        total = {}
+        while True:
             sign = 1
             while self.peek() in ("+", "-"):
                 if self.take() == "-":
                     sign = -sign
-            total = _add(total, _scale(self.term(), sign))
-        return total
+            total = poly_add(total, poly_scale(sign, self.term()))
+            if self.peek() not in ("+", "-"):
+                return total
+
+    def mul(self, a, b):
+        """a * b without the terms of x-degree or y-degree above the top."""
+        n, top = self.n, self.top
+        return {e: c for e, c in poly_mul(a, b).items()
+                if sum(e[:n]) <= top and sum(e[n:]) <= top}
 
     def term(self):
         value = self.power()
         while self.peek() == "*":
             self.take()
-            value = _mul(value, self.power())
+            value = self.mul(value, self.power())
         return value
 
     def power(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ParseError("exponent must be a nonnegative integer")
-            exp = int(tok)
-            out = _const(Fraction(1), self.n)
-            for _ in range(exp):
-                out = _mul(out, base)
-            return out
-        return base
+        if self.peek() != "^":
+            return base
+        self.take()
+        tok = self.take()
+        if tok is None or not tok.isdigit():
+            raise ParseError("exponent must be a nonnegative integer")
+        exp = _integer(tok)
+        # base = c + rest, every term of rest of positive degree, so rest^j
+        # is 0 once j > 2 * top and base^exp = sum_j C(exp, j) c^(exp-j) rest^j
+        c = base.get(self.one, 0)
+        size = max(abs(c.numerator), c.denominator)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+        if limit and size > 1 and exp >= limit / log10(size):
+            raise ParseError(f"the constant term of a power has more than "
+                             f"{limit} digits")
+        rest = {e: v for e, v in base.items() if e != self.one}
+        out, rest_j = {}, {self.one: Fraction(1)}
+        for j in range(exp + 1):
+            if not rest_j:
+                break
+            if c or j == exp:
+                out = poly_add(out, poly_scale(comb(exp, j) * c ** (exp - j), rest_j))
+            rest_j = self.mul(rest_j, rest)
+        return out
 
     def atom(self):
         tok = self.take()
@@ -102,59 +144,29 @@ class _Parser:
                 raise ParseError("unbalanced parentheses")
             return inner
         if tok[0] in "xy":
-            idx = int(tok[1:])
+            idx = _integer(tok[1:])
             if not 1 <= idx <= self.n:
                 raise ParseError(f"variable {tok} out of range 1..{self.n}")
-            ex = [0] * self.n
-            ey = [0] * self.n
-            (ex if tok[0] == "x" else ey)[idx - 1] = 1
-            return {(tuple(ex), tuple(ey)): Fraction(1)}
+            e = [0] * (2 * self.n)
+            e[idx - 1 + (self.n if tok[0] == "y" else 0)] = 1
+            return {tuple(e): Fraction(1)}
         if "/" in tok:
-            a, b = tok.split("/")
-            if not int(b):
+            a, b = map(_integer, tok.split("/"))
+            if not b:
                 raise ParseError(f"zero denominator in {tok!r}")
-            return _const(Fraction(int(a), int(b)), self.n)
+            return {self.one: Fraction(a, b)}
         if tok.isdigit():
-            return _const(Fraction(int(tok)), self.n)
+            return {self.one: Fraction(_integer(tok))}
         raise ParseError(f"unexpected token {tok!r}")
-
-
-def _const(c, n):
-    return {((0,) * n, (0,) * n): c}
-
-
-def _scale(poly, c):
-    return {k: v * c for k, v in poly.items() if v * c}
-
-
-def _add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _mul(a, b):
-    out = {}
-    for (xa, ya), ca in a.items():
-        for (xb, yb), cb in b.items():
-            key = (tuple(p + q for p, q in zip(xa, xb)),
-                   tuple(p + q for p, q in zip(ya, yb)))
-            s = out.get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
 
 
 def parse_tensor(text, n=3):
     """Parse into a tensor-square element {(x-exponents, y-exponents): coeff}."""
-    return _Parser(_tokenize(text), n).parse()
+    try:
+        flat = _Parser(_tokenize(text), n).parse()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply") from None
+    return {(e[:n], e[n:]): c for e, c in flat.items()}
 
 
 def parse_polynomial(text, n=3):

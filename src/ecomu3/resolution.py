@@ -26,56 +26,12 @@ group elements in the boundary.
 from __future__ import annotations
 
 from .abelian import cohomology_from_factors, p_primary
-from .linalg import (CompositionNonzero, IntMatrix, _xgcd, invariant_factors,
-                     kernel_basis_reduced, modp_rank)
+from .linalg import (ColumnLattice, CompositionNonzero, IntMatrix,
+                     invariant_factors, kernel_basis_reduced, modp_rank)
 
 
 class ResolutionFailure(RuntimeError):
     """Exactness or equivariance verification failed; indicates a bug."""
-
-
-class ColumnLattice:
-    """Growing sublattice of Z^dim with a triangular basis for membership."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.pivots = {}
-
-    def add(self, vec):
-        v = list(vec)
-        for row in range(self.dim):
-            if v[row] == 0:
-                continue
-            if row in self.pivots:
-                b = self.pivots[row]
-                if v[row] % b[row] == 0:
-                    q = v[row] // b[row]
-                    v = [a - q * c for a, c in zip(v, b)]
-                else:
-                    g, x, y = _xgcd(b[row], v[row])
-                    nb = [x * a + y * c for a, c in zip(b, v)]
-                    nv = [(b[row] // g) * c - (v[row] // g) * a
-                          for a, c in zip(b, v)]
-                    self.pivots[row] = nb
-                    v = nv
-            else:
-                if v[row] < 0:
-                    v = [-a for a in v]
-                self.pivots[row] = v
-                return True
-        return False
-
-    def contains(self, vec):
-        v = list(vec)
-        for row in range(self.dim):
-            if v[row] == 0:
-                continue
-            b = self.pivots.get(row)
-            if b is None or v[row] % b[row] != 0:
-                return False
-            q = v[row] // b[row]
-            v = [a - q * c for a, c in zip(v, b)]
-        return True
 
 
 def _act(group, g, vec, rank):

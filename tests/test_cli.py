@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,14 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["holim", "e2", "--diagram", "nul\x00.json"],
     ["serre", "nul\x00", "--prime", "2"],
     ["flag", "nf", "1/0"],
+    # numerals and coefficients past the interpreter's 4,300-digit limit
+    ["flag", "nf", "1" + "0" * 4400],
+    ["flag", "nf", "1/" + "7" * 4400],
+    ["flag", "nf", "x1^" + "9" * 4400],
+    ["flag", "nf", "x1" + "9" * 4400],
+    ["flag", "nf", "2^20000"],
+    ["flag", "mul", "10^3000", "10^3000"],
+    ["flag", "nf", "(" * 5000 + "x1" + ")" * 5000],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
@@ -90,6 +99,22 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("poly, normal_form", [
+    ("x1^99999999", {}),
+    ("(x1+x2+x3)^300", {}),
+    ("(1 + x1)^100000", {"1": "1", "x1^1": "100000", "x1^2": "4999950000"}),
+    ("(x1 - x1)^" + "9" * 4000, {}),
+])
+def test_large_powers_answer_within_a_second(capsys, poly, normal_form):
+    # terms above the top degree 3 are 0 in the coinvariant algebra, so a
+    # power is a short sum however large its exponent
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--format", "json", "flag", "nf", poly)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["normal_form"] == normal_form
 
 
 def test_undecodable_file_is_one_error_line(tmp_path, capsys):

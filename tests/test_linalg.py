@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecomu3.linalg import (CompositionNonzero, IntMatrix, Quotient,
+from ecomu3.linalg import (ColumnLattice, CompositionNonzero, IntMatrix, Quotient,
                            ShapeMismatch, invariant_factors, kernel_basis,
                            kernel_basis_reduced, modp_kernel_basis, modp_rank,
                            modp_rref, modp_solve, smith_normal_form, solve)
@@ -120,6 +120,53 @@ def test_kernel_basis_reduced_spans_kernel():
             K = IntMatrix.from_columns(red, rows=n)
             for v in raw:
                 assert solve(K, v) is not None
+
+
+def random_unimodular(rng, m):
+    """A product of random row additions, swaps and sign changes."""
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.randrange(m), rng.randrange(m)
+        if i != j:
+            c = rng.randint(-3, 3)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rows[i], rows[j] = rows[j], [-a for a in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+def test_kernel_basis_reduced_is_canonical_hermite_form():
+    rng = random.Random(13)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        A = IntMatrix(m, n, [rng.randint(-4, 4) for _ in range(m * n)])
+        red = kernel_basis_reduced(A)
+        pivots = [next(i for i, x in enumerate(v) if x) for v in red]
+        assert pivots == sorted(set(pivots)), red          # triangular
+        for k, (v, r) in enumerate(zip(red, pivots)):
+            assert v[r] > 0, red
+            assert all(0 <= u[r] < v[r] for u in red[:k]), red
+        # the form depends on the kernel lattice alone, not on the raw
+        # Smith-form kernel vectors it was built from
+        assert kernel_basis_reduced(random_unimodular(rng, m) * A) == red, A
+
+
+def test_column_lattice_membership_matches_solve():
+    rng = random.Random(17)
+    for _ in range(200):
+        dim, k = rng.randint(1, 5), rng.randint(0, 4)
+        gens = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
+        lattice = ColumnLattice(dim)
+        for g in gens:
+            lattice.add(g)
+            assert lattice.contains(g)
+        B = IntMatrix.from_columns(gens, rows=dim) if gens else None
+        for _ in range(10):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            v = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)]
+            if rng.random() < 0.5:
+                v[rng.randrange(dim)] += rng.randint(-2, 2)
+            want = solve(B, v) is not None if gens else not any(v)
+            assert lattice.contains(v) == want, (gens, v)
 
 
 def test_modp_ops():

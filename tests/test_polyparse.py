@@ -47,3 +47,21 @@ def test_errors():
         parse_polynomial("x1 y1")  # juxtaposition needs *
     with pytest.raises(ParseError):
         parse_polynomial("y1")     # y not allowed in plain polynomials
+
+
+def test_terms_above_the_top_degree_are_dropped():
+    # the coinvariant algebra and its tensor square are 0 above x-degree or
+    # y-degree n(n-1)/2 = 3, where every parsed polynomial is read
+    assert parse_polynomial("x1^4 + x2") == {(0, 1, 0): F(1)}
+    assert parse_tensor("x1^3 * y1^3") == {((3, 0, 0), (3, 0, 0)): F(1)}
+    assert parse_tensor("x1^2*x2^2 * y1 + y2") == {((0, 0, 0), (0, 1, 0)): F(1)}
+
+
+@pytest.mark.parametrize("text", ["x1 + 1", "2*x1 - x2*x3 + 1/2", "x1 - y2",
+                                  "-3 + x1^2*y3", "x1*x2 + x3 - 1", "(y1 - y2)"])
+def test_power_is_the_repeated_product(text):
+    # a power is a binomial sum, a product a chain of truncated products
+    for k in range(9):
+        product = "*".join([f"({text})"] * k) if k else "1"
+        assert parse_tensor(f"({text})^{k}") == parse_tensor(product), k
+

@@ -24,8 +24,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ecomu3.linalg import (IntMatrix, modp_kernel_basis, modp_rank,
-                           modp_rref, modp_solve)
+from ecomu3.linalg import (EchelonBasis, IntMatrix, modp_kernel_basis,
+                           modp_rank, modp_solve)
 from ecomu3.diagram import PosetDiagram
 
 MAXDEG = 14
@@ -209,11 +209,11 @@ def build_degree(p, k, dims, target_l0, rng, tries=40000):
             base = [list(r) for r in a5.to_lists()]
             # complete the kernel basis to a basis of the source
             cols = [list(v) for v in kerb]
+            span = EchelonBasis(p)
+            span.insert_all({i: x for i, x in enumerate(v) if x} for v in kerb)
             for j in range(dv1):
-                e = [1 if i == j else 0 for i in range(dv1)]
-                trial = cols + [e]
-                if len(modp_rref([list(r) for r in trial], dv1, p)[1]) == len(trial):
-                    cols.append(e)
+                if span.insert({j: 1}):
+                    cols.append([1 if i == j else 0 for i in range(dv1)])
             basis = IntMatrix.from_columns(cols, rows=dv1)
             targets = []
             for v in kerb:
