@@ -63,11 +63,11 @@ def _check_prime(prime):
 
 
 def _parse_poly(text):
-    from .polyparse import ParseError, parse_polynomial
+    from .polyparse import ParseError, parse_polynomial, quoted
     try:
         return parse_polynomial(text, n=3)
     except ParseError as exc:
-        raise CommandError(f"bad polynomial {text!r}: {exc}")
+        raise CommandError(f"bad polynomial {quoted(text)}: {exc}")
 
 
 def _read_file(path, what):
@@ -305,8 +305,7 @@ def cmd_u3t2(args, report):
 
 
 def cmd_holim(args, report):
-    from .limits import (NonVanishingLim2, bk_assemble, higher_limits,
-                         lim2_vanishing_check)
+    from .limits import NonVanishingLim2, bk_assemble, higher_limits
     diagram = _validated_diagram(args, report)
     report.add_result("validated", True)
     if args.holim_op == "validate":
@@ -322,7 +321,7 @@ def cmd_holim(args, report):
         for k in ks:
             l0, l1, l2 = higher_limits(diagram, k)
             rows.append({"fiber_degree": k, "lim0": l0, "lim1": l1, "lim2": l2,
-                         "lim2_vanishes": lim2_vanishing_check(diagram, k)})
+                         "lim2_vanishes": l2 == 0})
         report.add_result("higher_limits", rows)
         return
     if args.holim_op == "e2":
@@ -372,14 +371,14 @@ def _validated_diagram(args, report):
 def cmd_ecom_u3(args, report):
     from . import published
     from .abelian import PoincareSeries
-    from .limits import bk_assemble, lim2_vanishing_check
+    from .limits import NonVanishingLim2, bk_assemble
     if args.prime not in (2, 3):
         raise CommandError("ecom-u3 needs --prime 2 or 3")
     diagram = _validated_diagram(args, report)
-    for k in range(diagram.max_degree + 1):
-        if not lim2_vanishing_check(diagram, k):
-            raise CommandError(f"NonVanishingLim2: fiber degree {k}")
-    dims, lims = bk_assemble(diagram)
+    try:
+        dims, lims = bk_assemble(diagram)
+    except NonVanishingLim2 as exc:
+        raise CommandError(f"NonVanishingLim2: fiber degree {exc.degree}")
     dims = dims + [0] * (15 - len(dims))
     report.add_result("columns", {str(k): list(v) for k, v in lims.items()
                                   if v != (0, 0)})

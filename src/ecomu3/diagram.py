@@ -15,6 +15,7 @@ a to the space at b, so its shape is dim_b(k) x dim_a(k) in degree k.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 from .matrix import IntMatrix, modp_rank, modp_kernel_basis
@@ -57,7 +58,7 @@ class PosetDiagram:
     def matrix(self, a, b, degree):
         m = self.maps.get((a, b), {}).get(degree)
         if m is None:
-            return IntMatrix.zero(self.dim(b, degree), self.dim(a, degree))
+            return _zero(self.dim(b, degree), self.dim(a, degree))
         return m
 
     def arrow_name(self, a, b):
@@ -99,38 +100,40 @@ class PosetDiagram:
 
     def _check_pin(self, a, b, k, m, pin):
         p = self.prime
-        name = f"{self.arrow_name(a, b)} degree {k}"
+
+        def fail(what):         # the arrow's name is formatted only here
+            raise ConstraintViolation(
+                f"{self.arrow_name(a, b)} degree {k}: {what}")
+
         kind = pin["kind"]
         if kind == "rank":
             if modp_rank(m, p) != pin["value"]:
-                raise ConstraintViolation(f"{name}: rank != {pin['value']}")
+                fail(f"rank != {pin['value']}")
         elif kind == "injective":
             if modp_rank(m, p) != m.cols:
-                raise ConstraintViolation(f"{name}: not injective")
+                fail("not injective")
         elif kind == "zero":
             if any(e % p for e in m.entries):
-                raise ConstraintViolation(f"{name}: not zero")
+                fail("not zero")
         elif kind == "identity":
             if not equal_modp(m, IntMatrix.identity(m.rows), p):
-                raise ConstraintViolation(f"{name}: not the identity")
+                fail("not the identity")
         elif kind == "unit":
             if (m.rows, m.cols) != (1, 1) or m[0, 0] % p != 1:
-                raise ConstraintViolation(f"{name}: not the unit map")
+                fail("not the unit map")
         elif kind == "first_coordinate_projection":
             want = IntMatrix.from_rows([[1] + [0] * (m.cols - 1)])
             if not equal_modp(m, want, p):
-                raise ConstraintViolation(f"{name}: not the projection of the "
-                                          "first coordinate")
+                fail("not the projection of the first coordinate")
         elif kind == "kernel_within":
             oa, ob = pin["of"]
             other = self.matrix(oa, ob, k)
             for v in modp_kernel_basis(m, p):
                 if any(x % p for x in other.apply(v)):
-                    raise ConstraintViolation(
-                        f"{name}: kernel not within kernel of "
-                        f"{self.arrow_name(oa, ob)}")
+                    fail(f"kernel not within kernel of "
+                         f"{self.arrow_name(oa, ob)}")
         else:
-            raise ConstraintViolation(f"{name}: unknown pin {kind!r}")
+            fail(f"unknown pin {kind!r}")
 
     # -- serialization ------------------------------------------------------
 
@@ -248,6 +251,13 @@ def commutes(first, second, composite, p):
     and the complex check of :func:`ecomu3.limits.check_complex`.
     """
     return equal_modp(second * first, composite, p)
+
+
+@lru_cache(maxsize=None)
+def _zero(rows, cols):
+    """The zero matrix of a missing map, one per shape (matrices are
+    immutable, so the maps can share it)."""
+    return IntMatrix.zero(rows, cols)
 
 
 def equal_modp(a, b, p):

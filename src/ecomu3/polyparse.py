@@ -10,7 +10,9 @@ square), which is 0 above polynomial degree n(n-1)/2, so terms of x-degree
 or y-degree above that are dropped as they arise.  A power is then a short
 binomial sum however large its exponent.  A numeral, or the constant term of
 a power, with more digits than the interpreter converts
-(``sys.get_int_max_str_digits``) is a ParseError.
+(``sys.get_int_max_str_digits``) is a ParseError; with that limit switched
+off, the constant term of a power is still held to the default limit.
+Error messages quote at most the first 40 characters of the input.
 
 >>> parse_polynomial("x1 + x2 + x3", n=3)
 {(1, 0, 0): Fraction(1, 1), (0, 1, 0): Fraction(1, 1), (0, 0, 1): Fraction(1, 1)}
@@ -36,13 +38,18 @@ class ParseError(ValueError):
     pass
 
 
+def quoted(text):
+    """``repr(text)``, or that of its first 40 characters and ``...``."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
 def _tokenize(text):
     out = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ParseError(f"cannot read {text[pos:]!r}")
+            raise ParseError(f"cannot read {quoted(text[pos:])}")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -80,7 +87,7 @@ class _Parser:
     def parse(self):
         value = self.sum()
         if self.peek() is not None:
-            raise ParseError(f"trailing input at {self.peek()!r}")
+            raise ParseError(f"trailing input at {quoted(self.peek())}")
         return value
 
     def sum(self):
@@ -120,7 +127,10 @@ class _Parser:
         # is 0 once j > 2 * top and base^exp = sum_j C(exp, j) c^(exp-j) rest^j
         c = base.get(self.one, 0)
         size = max(abs(c.numerator), c.denominator)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+        # with the interpreter's limit off (0), its default still bounds the
+        # constant term, which is otherwise raised to any exponent
+        limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                 or getattr(sys.int_info, "default_max_str_digits", 0))
         if limit and size > 1 and exp >= limit / log10(size):
             raise ParseError(f"the constant term of a power has more than "
                              f"{limit} digits")
@@ -146,18 +156,19 @@ class _Parser:
         if tok[0] in "xy":
             idx = _integer(tok[1:])
             if not 1 <= idx <= self.n:
-                raise ParseError(f"variable {tok} out of range 1..{self.n}")
+                raise ParseError(
+                    f"variable {quoted(tok)} out of range 1..{self.n}")
             e = [0] * (2 * self.n)
             e[idx - 1 + (self.n if tok[0] == "y" else 0)] = 1
             return {tuple(e): Fraction(1)}
         if "/" in tok:
             a, b = map(_integer, tok.split("/"))
             if not b:
-                raise ParseError(f"zero denominator in {tok!r}")
+                raise ParseError(f"zero denominator in {quoted(tok)}")
             return {self.one: Fraction(a, b)}
         if tok.isdigit():
             return {self.one: Fraction(_integer(tok))}
-        raise ParseError(f"unexpected token {tok!r}")
+        raise ParseError(f"unexpected token {quoted(tok)}")
 
 
 def parse_tensor(text, n=3):

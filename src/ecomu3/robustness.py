@@ -18,7 +18,9 @@ builds once per block what the varied arrow cannot change
 (:class:`Completion`).  The completion sets m(0,6) = m(3,6) m(0,3),
 m(1,6) = m(3,6) m(1,3) and m(2,6) = m(2,4) with m(4,6) the identity, so the
 chains (0,3,6), (1,3,6) and (2,4,6) commute by construction; a variant
-multiplies out only the other three, the ones its F_p solve closes.
+checks only the other three, the ones its F_p solve closes.  Of those,
+(0,4,6) has both route arrows kept, so its route is multiplied out once per
+block and each variant's m(0,6) is compared with it.
 """
 
 from __future__ import annotations
@@ -127,7 +129,8 @@ class Completion:
     through (0,1), and (2) -> (0,1,2) as the one through (0,2), so the
     chains (0,3,6), (1,3,6) and (2,4,6) commute by construction.  The
     ``solved_chains`` are the other three: the solve closes them, and
-    :meth:`VariantLimits.of_completion` checks them.
+    :meth:`VariantLimits.of_completion` checks them ((0,4,6) against a
+    route computed once per block).
     """
 
     solved_chains = ((0, 4, 6), (1, 5, 6), (2, 5, 6))
@@ -225,6 +228,9 @@ class VariantLimits:
     when the quotient is 0 a variant builds no row at all.
     """
 
+    solved_through_pairs = tuple(c for c in Completion.solved_chains
+                                 if c != (0, 4, 6))
+
     def __init__(self, diagram, arrow, degree):
         self.diagram, self.degree, self.p = diagram, degree, diagram.prime
         self.chains3 = diagram.poset.chains3
@@ -235,6 +241,9 @@ class VariantLimits:
                      for ab in chains2 if ab not in changed}
         self.changed0 = [ab for ab in chains2 if ab in changed]
         self.changed1 = [xy for xy in chains2 if xy[1] in moved]
+        # both arrows of the route (0) -> (0,2) -> (0,1,2) are kept, so the
+        # route is the same for every variant: multiply it out once
+        self.route06 = _mod(self.kept[4, 6] * self.kept[0, 4], self.p)
         self.layout = layout = CochainLayout(diagram, degree)
         n0, _, n2 = layout.dims
         self.quotient0 = Quotient(self.p, n0, (
@@ -254,14 +263,19 @@ class VariantLimits:
 
     def of_completion(self, maps):
         """``self(maps)`` for maps returned by a :class:`Completion`, which
-        checks only the chains the completion's solve closes."""
-        return self._limits(maps, Completion.solved_chains)
+        checks only the chains the completion's solve closes: (0,4,6) by
+        comparing m(0,6) with the block's route, the other two by their
+        products."""
+        return self._limits(maps, self.solved_through_pairs, self.route06)
 
-    def _limits(self, maps, chains3):
+    def _limits(self, maps, chains3, route06=None):
         diagram, p = self.diagram, self.p
         for ab, m in self.kept.items():
             if maps[ab] is not m and not equal_modp(maps[ab], m, p):
                 raise ValueError(f"variant changes {diagram.arrow_name(*ab)}")
+        if route06 is not None and not equal_modp(maps[0, 6], route06, p):
+            raise AssertionError(
+                f"delta1 . delta0 != 0 in degree {self.degree}")
         check_complex(lambda a, b: maps[a, b], chains3, self.degree, p)
         layout = self.layout
         r0 = self.quotient0.rank(

@@ -1,9 +1,11 @@
 """Dense reference forms of the cochain differentials (test helpers).
 
-``ecomu3.limits`` assembles the differentials as sparse row blocks and
-``ecomu3.robustness`` ranks them incrementally.  These helpers rebuild the
-same complex as dense ``IntMatrix`` from the formulas in the limits module
-docstring and rank it with a full ``modp_rref``, as an independent oracle.
+``ecomu3.limits.higher_limits`` ranks only the hexagon of lower maps and the
+image in (0,1,2), ``ecomu3.limits.cosimplicial_complex`` assembles the
+differentials as sparse row blocks, and ``ecomu3.robustness`` ranks them
+incrementally.  These helpers rebuild the whole complex as dense
+``IntMatrix`` from the formulas in the limits module docstring and rank it
+with a full ``modp_rref``, as an independent oracle.
 """
 
 from ecomu3.linalg import IntMatrix, modp_rref

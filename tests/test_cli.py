@@ -73,6 +73,12 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["flag", "nf", "2^20000"],
     ["flag", "mul", "10^3000", "10^3000"],
     ["flag", "nf", "(" * 5000 + "x1" + ")" * 5000],
+    # the error line quotes only a prefix of a long input
+    ["flag", "nf", "(" * 3000],
+    ["flag", "nf", "x1 " + "9" * 4000],
+    ["flag", "nf", "x1 $" + "9" * 4000],
+    ["flag", "nf", "x" + "9" * 4000],
+    ["flag", "nf", "9" * 4000 + "/0"],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
@@ -99,6 +105,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 300, err[:300]
 
 
 @pytest.mark.parametrize("poly, normal_form", [
@@ -135,6 +142,22 @@ def cli_process(argv, cwd=None, env=None):
                           env=env or dict(os.environ, PYTHONPATH=str(SRC)),
                           cwd=cwd, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+def test_power_is_bounded_with_the_digit_limit_off():
+    # with -X int_max_str_digits=0 the interpreter's default limit still
+    # bounds the constant term of a power; unbounded, 3^9999999 runs on
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-m", "ecomu3.cli",
+         "flag", "nf", "3^9999999"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def scrub(out):

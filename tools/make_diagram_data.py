@@ -27,6 +27,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from ecomu3.linalg import (EchelonBasis, IntMatrix, modp_kernel_basis,
                            modp_rank, modp_solve)
 from ecomu3.diagram import PosetDiagram
+from ecomu3.limits import bk_assemble, hexagon_kernel_dim
 
 MAXDEG = 14
 
@@ -127,28 +128,6 @@ def unit_inclusion(rows, cols):
                      [1 if i == j else 0 for i in range(rows) for j in range(cols)])
 
 
-def lim0_of(mats, dims, p):
-    """dim of the compatible-family space from the six lower matrices."""
-    a1, a2, a3, a4, a5, a6 = (mats[k] for k in
-                              ("03", "13", "04", "24", "15", "25"))
-    dv0, dv1, dv2 = dims[0], dims[1], dims[2]
-    rows = []
-    width = dv0 + dv1 + dv2
-    for i in range(a1.rows):
-        rows.append([a1[i, j] for j in range(dv0)]
-                    + [-a2[i, j] for j in range(dv1)] + [0] * dv2)
-    for i in range(a3.rows):
-        rows.append([a3[i, j] for j in range(dv0)] + [0] * dv1
-                    + [-a4[i, j] for j in range(dv2)])
-    for i in range(a5.rows):
-        rows.append([0] * dv0 + [a5[i, j] for j in range(dv1)]
-                    + [-a6[i, j] for j in range(dv2)])
-    if not rows or width == 0:
-        return width
-    J = IntMatrix.from_rows(rows)
-    return width - modp_rank(J, p)
-
-
 def _modp(m, p):
     return IntMatrix(m.rows, m.cols, [e % p for e in m.entries])
 
@@ -234,7 +213,8 @@ def build_degree(p, k, dims, target_l0, rng, tries=40000):
             binv = IntMatrix.from_columns(binv_cols, rows=dv1)
             a5 = _mul(images, binv, p)
         mats = {"03": a1, "13": a2, "04": a3, "24": a4, "15": a5, "25": a6}
-        if lim0_of(mats, dv, p) != target_l0:
+        lim0 = hexagon_kernel_dim(dv, lambda a, b: mats[f"{a}{b}"], p)
+        if lim0 != target_l0:
             continue
         # remaining coherence: B1free * A2b = B3*A5 - A3*(T*A2b), row by row
         r = _mul(b3, a5, p) if dv1 else IntMatrix.zero(dv6, dv1)
@@ -313,7 +293,6 @@ def build_diagram(p, dims, l0_targets, notes):
 
 
 def main(outdir):
-    from ecomu3.limits import higher_limits, bk_assemble
     for p, dims, l0, notes in [(2, DIMS_P2, L0_P2, NOTES_P2),
                                (3, DIMS_P3, L0_P3, NOTES_P3)]:
         diagram = build_diagram(p, dims, l0, notes)
