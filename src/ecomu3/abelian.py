@@ -17,9 +17,8 @@ AbelianGroup(free_rank=5, torsion=[])
 
 from __future__ import annotations
 
-from .linalg import (CompositionNonzero, IntMatrix, ShapeMismatch,
-                     invariant_factors, modp_rank)
-from .matrix import is_prime
+from .matrix import (CompositionNonzero, IntMatrix, ShapeMismatch, is_prime,
+                     modp_rank)
 
 
 class FrozenRecord:
@@ -153,6 +152,7 @@ def cohomology_at(d_in, d_out):
     of Z^n and the image of an n x 0 map is 0, so complexes may be terminated
     with the maps from :func:`zero_map_from` / :func:`zero_map_into`.
     """
+    from .linalg import invariant_factors
     if d_in.rows != d_out.cols:
         raise ShapeMismatch(
             f"middle term mismatch: d_in lands in Z^{d_in.rows}, "

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import GroupModule, symmetric_group
-from .matrix import IntMatrix
 from .polynomial import monomials_of_degree, poly_mul
 
 
@@ -54,7 +52,10 @@ class CoinvariantAlgebra:
         self._tables = {}
 
     def staircase_basis(self, degree):
-        """Staircase monomials (e_j <= n - j, 1-indexed) of the given degree."""
+        """Staircase monomials (e_j <= n - j, 1-indexed) of the given degree;
+        there are none above ``top_degree``."""
+        if degree > self.top_degree:
+            return []
         return [e for e in monomials_of_degree(self.n, degree)
                 if all(e[j] <= self.n - 1 - j for j in range(self.n))]
 
@@ -147,6 +148,8 @@ class CoinvariantAlgebra:
 
     def degree_representation(self, degree):
         """Integer matrices of the permutation action on the staircase basis."""
+        from .groups import GroupModule, symmetric_group
+        from .matrix import IntMatrix
         group = symmetric_group(self.n)
         basis = self.staircase_basis(degree)
         index = {b: i for i, b in enumerate(basis)}
@@ -208,6 +211,7 @@ def integral_isomorphisms(mod_a, mod_b):
     the integer linear system for the entries of T and searching small
     combinations of the solution lattice for determinant +-1.
     """
+    from .matrix import IntMatrix
     if mod_a.rank != mod_b.rank:
         return None
     r = mod_a.rank

@@ -32,12 +32,9 @@ all four, ``kernel_basis`` V^-1 alone and ``invariant_factors`` none.
 from __future__ import annotations
 
 # re-exported, so that callers over Z and over F_p share one import path
-from .matrix import (EchelonBasis, IntMatrix, Quotient, ShapeMismatch,
-                     modp_kernel_basis, modp_rank, modp_rref, modp_solve)
-
-
-class CompositionNonzero(ValueError):
-    """Raised when two maps that should form a complex do not compose to zero."""
+from .matrix import (CompositionNonzero, EchelonBasis, IntMatrix, Quotient,
+                     ShapeMismatch, modp_kernel_basis, modp_rank, modp_rref,
+                     modp_solve)
 
 
 class SNFDecomposition:

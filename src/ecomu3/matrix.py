@@ -22,6 +22,10 @@ class ShapeMismatch(ValueError):
     """Raised when matrix dimensions do not compose."""
 
 
+class CompositionNonzero(ValueError):
+    """Raised when two maps that should form a complex do not compose to zero."""
+
+
 class IntMatrix:
     """Immutable dense integer matrix, row-major."""
 

@@ -288,7 +288,16 @@ class VariantLimits:
 
 
 def check_block(diagram, arrow, degree, rng_seed=0):
-    """(baseline lims, #variants tried, #compatible, exhaustive?, stable?)."""
+    """The sweep of one block, or None if the block is empty.
+
+    A dict with ``baseline`` ((lim0, lim1) of the diagram as given),
+    ``variants`` (how many maps with the block's kernel and image were
+    tried, its own map included), ``compatible`` (how many of them the
+    upper maps complete to a functor), ``exhaustive`` (whether they are all
+    such maps rather than a sample) and ``stable`` (whether every compatible
+    variant gives the baseline; the loop, and so the count, stops at the
+    first that does not).
+    """
     p = diagram.prime
     m = diagram.matrix(*arrow, degree)
     if m.rows == 0 or m.cols == 0:

@@ -1,4 +1,13 @@
+import os
+import sys
+
 import pytest
+
+# a bytecode cache left in src/ makes every later fresh call start faster
+# than a user's first, so neither this process nor the CLI processes the
+# tests start write one, whatever the environment says
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from ecomu3.diagram import load_bundled
 from ecomu3.groups import standard_modules, symmetric_group

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -144,6 +145,23 @@ def cli_process(argv, cwd=None, env=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_flag_rep_above_the_top_degree_is_empty():
+    # no staircase monomial has degree above 3, so a large degree costs
+    # nothing; enumerating the monomials of degree 10^6 would never finish
+    def rep(degree):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecomu3.cli", "--format", "json", "flag",
+             "rep", str(degree)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["results"]
+
+    big, four = rep(1000000), rep(4)
+    assert big["representation"] == four["representation"]
+    assert big["character"] == four["character"] == [0, 0, 0]
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the interpreter has no int/str digit limit")
 def test_power_is_bounded_with_the_digit_limit_off():
@@ -260,30 +278,82 @@ def test_cli_import_loads_no_engine():
 
 
 @pytest.mark.parametrize("argv, runs, leaves_out", [
-    (["flag", "dims"], {"coinvariants", "groups", "matrix"},
-     {"linalg", "abelian", "resolution", "serre", "koszul", "diagonal",
-      "diagram", "limits"}),
+    # runs: every ecomu3 module the call loads besides the package, cli and
+    # report; leaves_out: the engines the row is about keeping out
+    (["flag", "dims"], {"coinvariants", "polynomial"},
+     {"groups", "matrix", "linalg"}),
     (["snf", "[[2,4],[6,8]]"], {"linalg", "matrix"},
      {"groups", "coinvariants", "resolution", "serre"}),
-    (["holim", "validate"], {"diagram", "limits"},
-     {"coinvariants", "resolution", "serre", "koszul", "diagonal", "abelian",
-      "linalg"}),
-    (["u3t2", "--prime", "2"], {"koszul", "diagonal"},
-     {"coinvariants", "groups", "resolution", "serre", "diagram", "limits"}),
+    (["holim", "validate"], {"data", "diagram", "matrix", "poset"},
+     {"limits", "linalg", "abelian"}),
+    (["u3t2", "--prime", "2"],
+     {"abelian", "diagonal", "koszul", "matrix", "polynomial", "published"},
+     {"linalg", "groups", "resolution"}),
+    (["flag", "nf", "x1^2 + x2"], {"coinvariants", "polynomial", "polyparse"},
+     {"groups", "matrix", "linalg"}),
+    (["ecom-u3", "--prime", "3"],
+     {"abelian", "data", "diagram", "limits", "matrix", "poset", "published"},
+     {"linalg", "groups", "resolution"}),
+    (["rational-ring"],
+     {"abelian", "coinvariants", "diagonal", "matrix", "polynomial",
+      "published"},
+     {"linalg", "groups", "resolution"}),
 ])
 def test_subcommand_loads_only_its_engines(argv, runs, leaves_out):
     code, modules = loaded_modules(argv)
     assert code == 0
-    assert runs <= modules and not leaves_out & modules, sorted(modules)
+    assert not leaves_out & modules, sorted(modules)
+    assert modules == {"ecomu3", "cli", "report"} | runs, sorted(modules)
+
+
+def test_traced_benchmark_finds_every_target():
+    # perfbench/spans.py wraps the engine functions it names by module and
+    # attribute; a name moved between modules must still be found there
+    code = textwrap.dedent("""\
+        import importlib, json, sys
+        sys.path.insert(0, sys.argv[1])
+        import spans
+
+        def lookup(module, attr):
+            owner = importlib.import_module(f"ecomu3.{module}")
+            if "." in attr:
+                cls, attr = attr.split(".")
+                return getattr(owner, cls).__dict__[attr]
+            return getattr(owner, attr)
+
+        originals = [lookup(m, a) for m, a, _ in spans.TARGETS]
+        tracer = spans.Tracer()
+        tracer.install()
+        patched = [sum(orig is f for _, _, orig in tracer._patches)
+                   for f in originals]
+        tracer.uninstall()
+        restored = all(lookup(m, a) is f
+                       for (m, a, _), f in zip(spans.TARGETS, originals))
+        print(json.dumps([patched, restored]))
+        """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent / "perfbench")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    patched, restored = json.loads(proc.stdout)
+    assert patched and all(n >= 1 for n in patched), patched
+    assert restored
 
 
 def test_no_files_written(tmp_path):
+    # -B: the interpreter's own bytecode cache is not the program's output,
+    # and a cache left in src/ would make every later fresh call start faster
     env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(SRC),
            "HOME": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path)}
-    code, _, err = cli_process(["grpcoh", "S3", "trivial", "4"],
-                               cwd=tmp_path, env=env)
-    assert code == 0, err
+    before = sorted(SRC.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "ecomu3.cli", "grpcoh", "S3", "trivial",
+         "4"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.iterdir()) == []
+    assert sorted(SRC.rglob("*")) == before
 
 
 def test_grpcoh_trivial(capsys):
