@@ -58,7 +58,10 @@ functorial or not.
 lim^1 = (n1 - rank delta1) - rank delta0, with rank delta0 = n0 - lim^0 and
 rank delta1 = n2 - lim^2, which is the Euler-characteristic formula above.
 At p=3 the two matrices ranked are at most 18 x 9 and 9 x 18, where delta0
-and delta1 are up to 88 x 33 and 54 x 88.
+and delta1 are up to 88 x 33 and 54 x 88.  The robustness sweep ranks H from
+the same rows (:func:`hexagon_rows`, :func:`hexagon_half`): each row of H
+reads one pair's two maps, so the rows a varied lower map cannot reach are
+eliminated once per block.
 """
 
 from __future__ import annotations
@@ -76,25 +79,20 @@ class NonVanishingLim2(RuntimeError):
 
 
 class CochainLayout:
-    """The offsets of C^0, C^1 and C^2 in fiber degree k, and the blocks.
+    """The offsets of C^0 and C^1 in fiber degree k, and the row blocks.
 
-    Rows and columns are sparse ``{index: value}`` dicts with values reduced
-    mod p.  A row block depends on one map only (see the module docstring),
-    and so does each column block of delta1 at a 2-chain (x, y) on the maps
-    out of y alone, so a caller can rebuild the blocks of changed maps alone.
+    Rows are sparse ``{index: value}`` dicts with values reduced mod p.  A row
+    block depends on one map only (see the module docstring).
     """
 
     def __init__(self, diagram, k):
         poset = diagram.poset
         self.p = diagram.prime
-        self.chains3 = poset.chains3
         self.object_dims = [diagram.dim(i, k) for i in range(len(poset))]
         self.off0 = _offsets(self.object_dims)
         targets = [self.object_dims[b] for _, b in poset.chains2]
         self.off1 = dict(zip(poset.chains2, _offsets(targets)))
-        ends = [self.object_dims[c] for _, _, c in poset.chains3]
-        self.off2 = dict(zip(poset.chains3, _offsets(ends)))
-        self.dims = (sum(self.object_dims), sum(targets), sum(ends))
+        self.dims = complex_sizes(poset, self.object_dims)
 
     def delta0_block(self, a, b, m):
         """Rows of delta0 at the 2-chain (a, b), where m is the map a -> b."""
@@ -121,26 +119,11 @@ class CochainLayout:
             rows.append(row)
         return rows
 
-    def delta1_columns(self, x, y, matrix):
-        """Columns of delta1 at the 2-chain (x, y); ``matrix(y, c)`` gives the
-        map y -> c.  The coordinate y(x, y) enters the 3-chain (a, x, y) with
-        +1, (x, b, y) with -1 and (x, y, c) through m(y, c)."""
-        p = self.p
-        cols = [{} for _ in range(self.object_dims[y])]
-        for a, b, c in self.chains3:
-            off = self.off2[a, b, c]
-            if (b, c) == (x, y) or (a, c) == (x, y):
-                sign = 1 if b == x else p - 1
-                for i, col in enumerate(cols):
-                    col[off + i] = sign
-            elif (a, b) == (x, y):
-                m = matrix(y, c)
-                n = m.cols
-                for r in range(m.rows):
-                    for i, e in enumerate(m.entries[r * n:(r + 1) * n]):
-                        if e % p:
-                            cols[i][off + r] = e % p
-        return cols
+
+def complex_sizes(poset, dims):
+    """(n0, n1, n2), the sizes of C^0, C^1 and C^2 for object dimensions dims."""
+    return (sum(dims), sum(dims[b] for _, b in poset.chains2),
+            sum(dims[c] for _, _, c in poset.chains3))
 
 
 def cosimplicial_complex(diagram, k):
@@ -174,6 +157,26 @@ def check_complex(matrix, chains3, k, p):
 PAIRS = ((3, 0, 1), (4, 0, 2), (5, 1, 2))
 
 
+def hexagon_half(dims, a, b, m, p):
+    """The rows of H at the pair b, on the columns of the singleton a: one
+    sparse row per coordinate of b, m = m(a, b) for the pair's first singleton
+    and -m for its second.  ``dims`` lists the object dimensions."""
+    off, n = sum(dims[:a]), m.cols
+    sign = 1 if PAIRS[b - 3][1] == a else -1
+    return [{off + c: sign * e % p
+             for c, e in enumerate(m.entries[r * n:(r + 1) * n]) if e % p}
+            for r in range(m.rows)]
+
+
+def hexagon_rows(dims, matrix, p, pairs=PAIRS):
+    """The rows of H at the given pairs; ``matrix(a, b)`` gives the map a -> b."""
+    for b, i, j in pairs:
+        for row, tail in zip(hexagon_half(dims, i, b, matrix(i, b), p),
+                             hexagon_half(dims, j, b, matrix(j, b), p)):
+            row.update(tail)
+            yield row
+
+
 def hexagon_kernel_dim(dims, matrix, p):
     """dim ker H: the families on the singletons that agree on every pair.
 
@@ -181,18 +184,8 @@ def hexagon_kernel_dim(dims, matrix, p):
     a -> b; only the six maps from singletons to pairs are read.  This is
     lim^0 of a functorial diagram (see the module docstring).
     """
-    off = _offsets(dims[:3])
-    basis = EchelonBasis(p)
-    for b, i, j in PAIRS:
-        mi, mj = matrix(i, b), matrix(j, b)
-        oi, oj, ni, nj = off[i], off[j], mi.cols, mj.cols
-        for r in range(dims[b]):
-            row = {oi + c: e % p for c, e in
-                   enumerate(mi.entries[r * ni:(r + 1) * ni]) if e % p}
-            row.update((oj + c, -e % p) for c, e in
-                       enumerate(mj.entries[r * nj:(r + 1) * nj]) if e % p)
-            basis.insert(row)
-    return sum(dims[:3]) - len(basis)
+    return sum(dims[:3]) - EchelonBasis(p).insert_all(
+        hexagon_rows(dims, matrix, p))
 
 
 def top_image_dim(dims, matrix, p):
@@ -213,12 +206,6 @@ def top_image_dim(dims, matrix, p):
     return len(basis)
 
 
-def lims_from_ranks(dims, r0, r1):
-    """(lim^0, lim^1, lim^2) from the sizes and the two differential ranks."""
-    n0, n1, n2 = dims
-    return n0 - r0, (n1 - r1) - r0, n2 - r1
-
-
 def higher_limits(diagram, k):
     """(dim lim^0, dim lim^1, dim lim^2) in fiber degree k, from the hexagon
     kernel and the image in (0,1,2) (see the module docstring)."""
@@ -229,12 +216,10 @@ def higher_limits(diagram, k):
     # needs it; check it
     check_complex(matrix, poset.chains3, k, p)
     dims = [diagram.dim(i, k) for i in range(len(poset))]
-    n0 = sum(dims)
-    n1 = sum(dims[b] for _, b in poset.chains2)
-    n2 = sum(dims[c] for _, _, c in poset.chains3)
-    r0 = n0 - hexagon_kernel_dim(dims, matrix, p)
-    r1 = n2 - dims[6] + top_image_dim(dims, matrix, p)
-    return lims_from_ranks((n0, n1, n2), r0, r1)
+    n0, n1, n2 = complex_sizes(poset, dims)
+    lim0 = hexagon_kernel_dim(dims, matrix, p)
+    lim2 = dims[6] - top_image_dim(dims, matrix, p)
+    return lim0, lim0 + lim2 - (n0 - n1 + n2), lim2
 
 
 def lim2_vanishing_check(diagram, k):

@@ -1,9 +1,10 @@
 """The integer matrix type and linear algebra over prime fields.
 
 Matrix entries are Python ints.  Every rank over F_p is taken by inserting
-sparse rows into an :class:`EchelonBasis` (:func:`modp_rank`,
-:class:`Quotient`, the Koszul oracle), because the cochain differentials of
-the higher-limits code are mostly identity and zero blocks.  :func:`modp_rref`
+sparse rows into an :class:`EchelonBasis` (:func:`modp_rank`, the hexagon
+and the image in (0,1,2) of the higher limits, once per block and per
+variant in the robustness sweep, the Koszul oracle), because those matrices
+are mostly identity and zero blocks.  :func:`modp_rref`
 is the dense reducer that solutions, kernels and normal forms read, and the
 tests' independent oracle for those ranks.  Smith normal form and integer
 kernels, which the limits and the robustness sweep never use, are in
@@ -235,57 +236,12 @@ class EchelonBasis:
         """Insert every row; the number kept."""
         return sum(self.insert(row) for row in rows)
 
-
-class Quotient:
-    """F_p^n modulo the span of some fixed rows, for ranking rows beside them.
-
-    rank(fixed + rows) = rank(fixed) + rank of the rows' images in the
-    quotient, so the fixed rows are eliminated once here and each call of
-    :meth:`rank` eliminates only the images of its own rows.  The quotient
-    has the non-pivot columns of the fixed rows' echelon basis as its
-    coordinates; ``images[j]`` is coordinate j reduced modulo the fixed rows,
-    as ``(column, value)`` pairs on those columns.  When the fixed rows span
-    everything (``dim == 0``) a rank needs no row at all, so :meth:`rank`
-    takes a lazy iterable and then never draws from it.
-    """
-
-    __slots__ = ("p", "fixed_rank", "dim", "images")
-
-    def __init__(self, p, n, fixed_rows):
-        basis = EchelonBasis(p)
-        self.p, self.fixed_rank = p, basis.insert_all(fixed_rows)
-        self.dim = n - self.fixed_rank
-        self.images = images = [()] * n
-        if not self.dim:
-            return
-        pivots = basis.pivots
-        for j in range(n):
-            if j not in pivots:
-                images[j] = ((j, 1),)
-        # a pivot row is e_col + tail with the tail on later columns, so
-        # e_col = -tail modulo the fixed rows: reduce from the last pivot back
-        for col in sorted(pivots, reverse=True):
-            acc = {}
-            for j, v in pivots[col].items():
-                for q, w in images[j]:
-                    acc[q] = acc.get(q, 0) - v * w
-            images[col] = tuple((q, e % p) for q, e in acc.items() if e % p)
-
-    def project(self, row):
-        """The image of a sparse row in the quotient, as a sparse row."""
-        images, acc = self.images, {}
-        for j, v in row.items():
-            for q, w in images[j]:
-                acc[q] = acc.get(q, 0) + v * w
-        p = self.p
-        return {q: e % p for q, e in acc.items() if e % p}
-
-    def rank(self, rows):
-        """F_p rank of the fixed rows together with ``rows``."""
-        if not self.dim:
-            return self.fixed_rank
-        return self.fixed_rank + EchelonBasis(self.p).insert_all(
-            map(self.project, rows))
+    def copy(self):
+        """A basis with the same rows that grows on its own; the stored rows
+        are shared, as neither basis ever changes them."""
+        clone = EchelonBasis(self.p)
+        clone.pivots = dict(self.pivots)
+        return clone
 
 
 def is_prime(p):

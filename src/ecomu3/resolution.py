@@ -26,8 +26,8 @@ group elements in the boundary.
 from __future__ import annotations
 
 from .abelian import cohomology_from_factors, p_primary
-from .linalg import (ColumnLattice, CompositionNonzero, IntMatrix,
-                     invariant_factors, kernel_basis_reduced, modp_rank)
+from .linalg import ColumnLattice, invariant_factors, kernel_basis_reduced
+from .matrix import CompositionNonzero, IntMatrix, modp_rank
 
 
 class ResolutionFailure(RuntimeError):

@@ -9,12 +9,13 @@ otherwise), keeps those variants that still extend to a functorial diagram
 (the two upper maps are re-solved, the identity at (0,2)->(0,1,2) is kept),
 and recomputes (lim^0, lim^1).  The claim under test: the values never move.
 
-The recomputation is exact but incremental: a variant changes only the
-varied arrow and the five arrows into (0,1,2) that are re-solved, so the part
-of each differential those arrows cannot reach is reduced once per (arrow,
-degree), and each variant ranks only its own rows of delta0 and columns of
-delta1 modulo that part (see :class:`VariantLimits`).  The completion, too,
-builds once per block what the varied arrow cannot change
+The recomputation is exact but incremental.  It uses the formulas of
+:mod:`ecomu3.limits`: lim^0 is the kernel of the hexagon of the six lower
+maps, and lim^2 the cokernel of the maps into (0,1,2).  A variant changes only
+the varied arrow among the lower maps, so the hexagon rows it cannot reach
+are eliminated once per (arrow, degree) and each variant inserts only the
+rows of the one pair its arrow enters (see :class:`VariantLimits`).  The
+completion, too, builds once per block what the varied arrow cannot change
 (:class:`Completion`).  The completion sets m(0,6) = m(3,6) m(0,3),
 m(1,6) = m(3,6) m(1,3) and m(2,6) = m(2,4) with m(4,6) the identity, so the
 chains (0,3,6), (1,3,6) and (2,4,6) commute by construction; a variant
@@ -29,9 +30,9 @@ import random
 from itertools import product as iproduct
 
 from .diagram import equal_modp
-from .limits import (CochainLayout, check_complex, higher_limits,
-                     lims_from_ranks)
-from .matrix import IntMatrix, Quotient, modp_rank, modp_rref, modp_solve
+from .limits import (PAIRS, check_complex, complex_sizes, hexagon_half,
+                     hexagon_rows, higher_limits, top_image_dim)
+from .matrix import EchelonBasis, IntMatrix, modp_rank, modp_rref, modp_solve
 
 # the maps out of (0) are pinned canonical inclusions (their twist freedom is
 # a basis gauge); the other four lower arrows are genuinely under-determined
@@ -220,39 +221,43 @@ def _mod(m, p):
 class VariantLimits:
     """Higher limits of the compatible variants of one (arrow, degree) block.
 
-    A variant changes only ``arrow`` and COMPLETED_ARROWS.  The rows of
-    delta0 at the other arrows, and the columns of delta1 at the 2-chains
-    (x, y) with no changed map out of y, are the block's fixed part: each
-    differential's rank is the fixed part's rank plus the rank of the
-    changed rows (columns) in the quotient by it (:class:`Quotient`), and
-    when the quotient is 0 a variant builds no row at all.
+    A variant changes only ``arrow`` and COMPLETED_ARROWS, and lim^0 is the
+    kernel of the hexagon H, which reads the six lower maps (see
+    :mod:`ecomu3.limits`).  So the rows of H at the two pairs ``arrow`` does
+    not enter are eliminated once, and so is the half of its own pair's rows
+    that the kept arrow into that pair gives; a variant inserts only that
+    pair's rows, into a copy of the fixed basis.  When the kept m(4,6) alone
+    spans (0,1,2), as in every diagram ``validate`` accepts, lim^2 = 0 for
+    every variant; otherwise each variant ranks the image in (0,1,2).
+    lim^1 = lim^0 + lim^2 - (n0 - n1 + n2).
     """
 
     solved_through_pairs = tuple(c for c in Completion.solved_chains
                                  if c != (0, 4, 6))
 
     def __init__(self, diagram, arrow, degree):
-        self.diagram, self.degree, self.p = diagram, degree, diagram.prime
-        self.chains3 = diagram.poset.chains3
+        self.diagram, self.degree = diagram, degree
+        self.p = p = diagram.prime
+        self.arrow = a, b = arrow
+        poset = diagram.poset
+        self.chains3 = poset.chains3
         changed = {arrow, *COMPLETED_ARROWS}
-        moved = {a for a, _ in changed}
-        chains2 = diagram.poset.chains2
-        self.kept = {ab: diagram.matrix(*ab, degree)
-                     for ab in chains2 if ab not in changed}
-        self.changed0 = [ab for ab in chains2 if ab in changed]
-        self.changed1 = [xy for xy in chains2 if xy[1] in moved]
+        self.kept = kept = {ab: diagram.matrix(*ab, degree)
+                            for ab in poset.chains2 if ab not in changed}
         # both arrows of the route (0) -> (0,2) -> (0,1,2) are kept, so the
         # route is the same for every variant: multiply it out once
-        self.route06 = _mod(self.kept[4, 6] * self.kept[0, 4], self.p)
-        self.layout = layout = CochainLayout(diagram, degree)
-        n0, _, n2 = layout.dims
-        self.quotient0 = Quotient(self.p, n0, (
-            row for (a, b), m in self.kept.items()
-            for row in layout.delta0_block(a, b, m)))
-        matrix = lambda a, b: diagram.matrix(a, b, degree)
-        self.quotient1 = Quotient(self.p, n2, (
-            col for x, y in chains2 if y not in moved
-            for col in layout.delta1_columns(x, y, matrix)))
+        self.route06 = _mod(kept[4, 6] * kept[0, 4], p)
+        self.dims = dims = [diagram.dim(i, degree) for i in range(len(poset))]
+        n0, n1, n2 = complex_sizes(poset, dims)
+        self.chi = n0 - n1 + n2
+        self.fixed = EchelonBasis(p)
+        self.fixed.insert_all(hexagon_rows(
+            dims, lambda x, y: kept[x, y], p,
+            [pair for pair in PAIRS if pair[0] != b]))
+        other = next(i for i in PAIRS[b - 3][1:] if i != a)
+        self.kept_half = hexagon_half(dims, other, b, kept[other, b], p)
+        self.lim0_bound = dims[0] + dims[1] + dims[2] - len(self.fixed)
+        self.lim2 = 0 if modp_rank(kept[4, 6], p) == dims[6] else None
 
     def __call__(self, maps):
         """(lim^0, lim^1, lim^2) once the degree's twelve maps are ``maps``.
@@ -269,7 +274,7 @@ class VariantLimits:
         return self._limits(maps, self.solved_through_pairs, self.route06)
 
     def _limits(self, maps, chains3, route06=None):
-        diagram, p = self.diagram, self.p
+        diagram, p, dims = self.diagram, self.p, self.dims
         for ab, m in self.kept.items():
             if maps[ab] is not m and not equal_modp(maps[ab], m, p):
                 raise ValueError(f"variant changes {diagram.arrow_name(*ab)}")
@@ -277,14 +282,21 @@ class VariantLimits:
             raise AssertionError(
                 f"delta1 . delta0 != 0 in degree {self.degree}")
         check_complex(lambda a, b: maps[a, b], chains3, self.degree, p)
-        layout = self.layout
-        r0 = self.quotient0.rank(
-            row for a, b in self.changed0
-            for row in layout.delta0_block(a, b, maps[a, b]))
-        r1 = self.quotient1.rank(
-            col for x, y in self.changed1
-            for col in layout.delta1_columns(x, y, lambda a, b: maps[a, b]))
-        return lims_from_ranks(layout.dims, r0, r1)
+        # lim^0 is at most the fixed rows' corank, and no row lowers it below 0
+        lim0 = self.lim0_bound
+        if lim0:
+            a, b = self.arrow
+            basis = self.fixed.copy()
+            for row, kept in zip(hexagon_half(dims, a, b, maps[a, b], p),
+                                 self.kept_half):
+                row.update(kept)
+                lim0 -= basis.insert(row)
+                if not lim0:
+                    break
+        lim2 = self.lim2
+        if lim2 is None:
+            lim2 = dims[6] - top_image_dim(dims, lambda x, y: maps[x, y], p)
+        return lim0, lim0 + lim2 - self.chi, lim2
 
 
 def check_block(diagram, arrow, degree, rng_seed=0):

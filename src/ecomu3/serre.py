@@ -282,6 +282,10 @@ def forced_differentials(page, top_dimension, r_max=DEFAULT_MAX_PAGE,
     must_die = {(c, q) for c, q, _, tors in page.slots()
                 if tors and c + q > top_dimension}
     candidates = _candidate_moves(page, must_die, r_max)
+    # the page does not change during the search, so neither do the columns
+    # a periodic move acts on
+    family = {mv.source: _family_slots(page, mv)
+              for moves in candidates.values() for mv in moves if mv.periodic}
 
     # state: remaining torsion per in-window slot, shared-capacity pool for
     # out-of-window targets per (row, residue)
@@ -317,7 +321,7 @@ def forced_differentials(page, top_dimension, r_max=DEFAULT_MAX_PAGE,
         """Return updated torsion dict, or None if capacities fail."""
         new = dict(tors)
         if mv.periodic:
-            sources = _family_slots(page, mv)
+            sources = family[mv.source]
             if not sources:
                 return None
             for c in sources:

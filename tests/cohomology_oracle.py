@@ -12,7 +12,8 @@ Hom differentials of every degree, sharing nothing with the tables of
 """
 
 from ecomu3.abelian import AbelianGroup
-from ecomu3.linalg import CompositionNonzero, IntMatrix, smith_normal_form
+from ecomu3.linalg import smith_normal_form
+from ecomu3.matrix import CompositionNonzero, IntMatrix
 
 
 def cohomology_by_kernel_coordinates(d_in, d_out):

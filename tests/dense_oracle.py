@@ -8,7 +8,7 @@ incrementally.  These helpers rebuild the whole complex as dense
 with a full ``modp_rref``, as an independent oracle.
 """
 
-from ecomu3.linalg import IntMatrix, modp_rref
+from ecomu3.matrix import IntMatrix, modp_rref
 
 
 def dense(blocks, ncols):

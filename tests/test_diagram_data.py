@@ -10,7 +10,7 @@ from ecomu3 import published
 from ecomu3.diagram import load_bundled
 from ecomu3.limits import (bk_assemble, cosimplicial_complex, higher_limits,
                            lim2_vanishing_check)
-from ecomu3.robustness import check_block
+from ecomu3.robustness import LOWER_ARROWS, check_block
 
 from dense_oracle import dense
 
@@ -155,6 +155,111 @@ def test_robustness_sweep(sweeps):
         for key, res in results.items():
             assert res["stable"], (d.prime, key, res)
             assert res["compatible"] >= 1
+
+
+# (prime, arrow, degree): (baseline, variants, compatible, exhaustive, stable)
+# of check_block at rng_seed 0 for every non-empty lower block of both
+# bundled diagrams, as the quotient-based sweep computed them: 78 blocks,
+# 2,920 variants, 2,904 compatible
+SWEEP_BLOCKS_SEED0 = {
+    (2, (1, 3), 0): ((1, 0), 1, 1, True, True),
+    (2, (1, 3), 2): ((0, 0), 1, 1, True, True),
+    (2, (1, 3), 4): ((1, 0), 1, 1, True, True),
+    (2, (1, 3), 5): ((1, 3), 1, 1, True, True),
+    (2, (1, 3), 7): ((0, 2), 1, 1, True, True),
+    (2, (1, 3), 9): ((0, 0), 1, 1, True, True),
+    (2, (1, 5), 0): ((1, 0), 1, 1, True, True),
+    (2, (1, 5), 2): ((0, 0), 6, 4, True, True),
+    (2, (1, 5), 4): ((1, 0), 6, 2, True, True),
+    (2, (1, 5), 5): ((1, 3), 1, 1, True, True),
+    (2, (1, 5), 6): ((2, 0), 1, 1, True, True),
+    (2, (1, 5), 7): ((0, 2), 1, 1, True, True),
+    (2, (1, 5), 9): ((0, 0), 6, 4, True, True),
+    (2, (1, 5), 11): ((1, 1), 1, 1, True, True),
+    (2, (2, 4), 0): ((1, 0), 1, 1, True, True),
+    (2, (2, 4), 1): ((0, 0), 1, 1, True, True),
+    (2, (2, 4), 2): ((0, 0), 1, 1, True, True),
+    (2, (2, 4), 3): ((0, 1), 1, 1, True, True),
+    (2, (2, 4), 4): ((1, 0), 1, 1, True, True),
+    (2, (2, 4), 5): ((1, 3), 1, 1, True, True),
+    (2, (2, 4), 6): ((2, 0), 168, 168, True, True),
+    (2, (2, 4), 7): ((0, 2), 1, 1, True, True),
+    (2, (2, 4), 8): ((0, 1), 6, 6, True, True),
+    (2, (2, 4), 9): ((0, 0), 1, 1, True, True),
+    (2, (2, 4), 10): ((0, 2), 1, 1, True, True),
+    (2, (2, 4), 11): ((1, 1), 1, 1, True, True),
+    (2, (2, 4), 12): ((0, 1), 1, 1, True, True),
+    (2, (2, 5), 0): ((1, 0), 1, 1, True, True),
+    (2, (2, 5), 1): ((0, 0), 1, 1, True, True),
+    (2, (2, 5), 2): ((0, 0), 1, 1, True, True),
+    (2, (2, 5), 3): ((0, 1), 1, 1, True, True),
+    (2, (2, 5), 4): ((1, 0), 6, 2, True, True),
+    (2, (2, 5), 5): ((1, 3), 1, 1, True, True),
+    (2, (2, 5), 6): ((2, 0), 168, 168, True, True),
+    (2, (2, 5), 7): ((0, 2), 1, 1, True, True),
+    (2, (2, 5), 8): ((0, 1), 6, 6, True, True),
+    (2, (2, 5), 9): ((0, 0), 1, 1, True, True),
+    (2, (2, 5), 10): ((0, 2), 1, 1, True, True),
+    (2, (2, 5), 11): ((1, 1), 1, 1, True, True),
+    (2, (2, 5), 12): ((0, 1), 1, 1, True, True),
+    (3, (1, 3), 0): ((1, 0), 2, 1, True, True),
+    (3, (1, 3), 2): ((0, 0), 2, 2, True, True),
+    (3, (1, 3), 3): ((0, 1), 2, 2, True, True),
+    (3, (1, 3), 4): ((1, 0), 48, 48, True, True),
+    (3, (1, 3), 5): ((1, 2), 48, 48, True, True),
+    (3, (1, 3), 6): ((1, 1), 48, 48, True, True),
+    (3, (1, 3), 7): ((0, 3), 200, 200, False, True),
+    (3, (1, 3), 8): ((0, 2), 2, 2, True, True),
+    (3, (1, 3), 9): ((0, 3), 48, 48, True, True),
+    (3, (1, 3), 11): ((0, 2), 2, 2, True, True),
+    (3, (1, 5), 0): ((1, 0), 2, 1, True, True),
+    (3, (1, 5), 2): ((0, 0), 2, 2, True, True),
+    (3, (1, 5), 3): ((0, 1), 2, 2, True, True),
+    (3, (1, 5), 4): ((1, 0), 48, 48, True, True),
+    (3, (1, 5), 5): ((1, 2), 48, 48, True, True),
+    (3, (1, 5), 6): ((1, 1), 48, 48, True, True),
+    (3, (1, 5), 7): ((0, 3), 200, 200, False, True),
+    (3, (1, 5), 8): ((0, 2), 2, 2, True, True),
+    (3, (1, 5), 9): ((0, 3), 48, 48, True, True),
+    (3, (1, 5), 11): ((0, 2), 2, 2, True, True),
+    (3, (2, 4), 0): ((1, 0), 2, 1, True, True),
+    (3, (2, 4), 3): ((0, 1), 2, 2, True, True),
+    (3, (2, 4), 4): ((1, 0), 200, 200, False, True),
+    (3, (2, 4), 5): ((1, 2), 48, 48, True, True),
+    (3, (2, 4), 6): ((1, 1), 200, 200, False, True),
+    (3, (2, 4), 7): ((0, 3), 200, 200, False, True),
+    (3, (2, 4), 8): ((0, 2), 200, 200, False, True),
+    (3, (2, 4), 9): ((0, 3), 2, 2, True, True),
+    (3, (2, 4), 12): ((0, 1), 2, 2, True, True),
+    (3, (2, 5), 0): ((1, 0), 2, 1, True, True),
+    (3, (2, 5), 3): ((0, 1), 2, 2, True, True),
+    (3, (2, 5), 4): ((1, 0), 200, 200, False, True),
+    (3, (2, 5), 5): ((1, 2), 48, 48, True, True),
+    (3, (2, 5), 6): ((1, 1), 200, 200, False, True),
+    (3, (2, 5), 7): ((0, 3), 200, 200, False, True),
+    (3, (2, 5), 8): ((0, 2), 200, 200, False, True),
+    (3, (2, 5), 9): ((0, 3), 2, 2, True, True),
+    (3, (2, 5), 12): ((0, 1), 2, 2, True, True),
+}
+
+
+def test_robustness_sweep_pins_every_block(diagram_p2, diagram_p3, sweeps):
+    """Every block's result is the recorded one, so a change to which
+    variants are drawn or complete shows, not only an unstable block."""
+    swept = {(d.prime, *key): res for d, results in sweeps
+             for key, res in results.items()}
+    got = {}
+    for d in (diagram_p2, diagram_p3):
+        for arrow in LOWER_ARROWS:
+            for k in range(d.max_degree + 1):
+                res = swept.get((d.prime, arrow, k)) or check_block(d, arrow, k)
+                if res is not None:
+                    got[d.prime, arrow, k] = (
+                        tuple(res["baseline"]), res["variants"],
+                        res["compatible"], res["exhaustive"], res["stable"])
+    assert got == SWEEP_BLOCKS_SEED0
+    assert sum(v[1] for v in got.values()) == 2920
+    assert sum(v[2] for v in got.values()) == 2904
 
 
 def test_robustness_exhaustive_small_blocks(diagram_p2):

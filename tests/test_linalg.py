@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecomu3.linalg import (ColumnLattice, CompositionNonzero, IntMatrix, Quotient,
-                           ShapeMismatch, invariant_factors, kernel_basis,
-                           kernel_basis_reduced, modp_kernel_basis, modp_rank,
-                           modp_rref, modp_solve, smith_normal_form, solve)
+from ecomu3.linalg import (ColumnLattice, invariant_factors, kernel_basis,
+                           kernel_basis_reduced, smith_normal_form, solve)
+from ecomu3.matrix import (CompositionNonzero, EchelonBasis, IntMatrix,
+                           ShapeMismatch, modp_kernel_basis, modp_rank,
+                           modp_rref, modp_solve)
 
 from snf_oracle import det, invariant_factors_by_minors
 
@@ -248,19 +249,17 @@ def _fixed_and_changed(draw):
 @example(([], [[1, 2, 0], [2, 4, 0]], 3, 3))                # no fixed rows
 @example(([[1, 0, 2], [0, 1, 1]], [], 3, 5))                # no changed rows
 @example(([[1, 1, 0, 0], [0, 1, 1, 0]], [[1, 0, 6, 0], [0, 0, 0, 3]], 4, 7))
-@example(([[1, 0], [0, 1]], [[1, 1]], 2, 2))                # quotient 0
-def test_quotient_rank_matches_modp_rank(case):
+@example(([[1, 0], [0, 1]], [[1, 1]], 2, 2))                # fixed rows span
+def test_copied_basis_rank_matches_modp_rank(case):
+    """The robustness sweep's per-variant rank: a copy of a basis of the fixed
+    rows, grown by the changed rows, has the rank of all of them, and the
+    basis it was copied from is left as it was."""
     fixed, changed, n, p = case
-    quotient = Quotient(p, n, _sparse(fixed, p))
+    basis = EchelonBasis(p)
     want_fixed = len(modp_rref(fixed, n, p)[1])
-    assert quotient.fixed_rank == want_fixed
-    assert quotient.dim == n - want_fixed
-    assert quotient.rank(_sparse(changed, p)) == len(
-        modp_rref(fixed + changed, n, p)[1])
-    # the fixed rows lie in the kernel of the projection
-    assert all(quotient.project(row) == {} for row in _sparse(fixed, p))
-    if quotient.dim == 0:
-        def unread():
-            raise AssertionError("a zero quotient must not read its rows")
-            yield
-        assert quotient.rank(unread()) == want_fixed
+    assert basis.insert_all(_sparse(fixed, p)) == want_fixed
+    before = {col: dict(tail) for col, tail in basis.pivots.items()}
+    grown = basis.copy()
+    grown.insert_all(_sparse(changed, p))
+    assert len(grown) == len(modp_rref(fixed + changed, n, p)[1])
+    assert basis.pivots == before and len(basis) == want_fixed

@@ -1,10 +1,10 @@
 """The incremental robustness check against the dense complex.
 
-``check_block`` ranks only the rows (delta0) and columns (delta1) a variant
-changes, modulo the block's fixed part, and checks delta1 . delta0 = 0 chain
-by chain.  Here the same variants are rebuilt as dense matrices from the
-formulas in the limits docstring (tests/dense_oracle) and ranked by full row
-reduction.
+``check_block`` ranks only the hexagon rows of the pair a variant's arrow
+enters, beside the block's fixed rows, takes lim^2 from the kept m(4,6) when
+it spans (0,1,2), and checks delta1 . delta0 = 0 chain by chain.  Here the
+same variants are rebuilt as dense matrices from the formulas in the limits
+docstring (tests/dense_oracle) and ranked by full row reduction.
 """
 
 import os
@@ -18,9 +18,8 @@ from pathlib import Path
 import pytest
 
 from ecomu3.diagram import PosetDiagram, commutes, load_bundled
-from ecomu3.limits import (CochainLayout, cosimplicial_complex,
-                           higher_limits)
-from ecomu3.linalg import IntMatrix, modp_rref
+from ecomu3.limits import cosimplicial_complex, higher_limits
+from ecomu3.matrix import IntMatrix, modp_rref
 from ecomu3.poset import PosetSn
 from ecomu3.robustness import (COMPLETED_ARROWS, EXHAUSTIVE_LIMIT,
                                LOWER_ARROWS, SAMPLE_SIZE, Completion,
@@ -63,13 +62,7 @@ def test_sparse_blocks_match_dense_formulas(diagram):
             lambda a, b: diagram.matrix(a, b, k))
         assert dims == (n0, n1, n2)
         p = diagram.prime
-        # delta1 once more, column block by column block, transposed
-        layout = CochainLayout(diagram, k)
-        cols = {xy: layout.delta1_columns(
-                    *xy, lambda a, b: diagram.matrix(a, b, k))
-                for xy in diagram.poset.chains2}
-        for got, want in ((dense(d0, n0), w0), (dense(d1, n1), w1),
-                          (dense(cols, n2), w1.transpose())):
+        for got, want in ((dense(d0, n0), w0), (dense(d1, n1), w1)):
             assert (got.rows, got.cols) == (want.rows, want.cols)
             assert all((x - y) % p == 0
                        for x, y in zip(got.entries, want.entries))
@@ -181,11 +174,11 @@ def test_completion_of_the_bundled_map_is_functorial(diagram):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_zero_maps_run_the_quotient_path(p):
-    """All maps 0: the fixed delta1 columns leave a quotient of dimension
-    dim(0,1,2) and lim^2 = dim(0,1,2) != 0.  With the lower maps 0, the maps
-    (0,1)->(0,1,2) and (1,2)->(0,1,2) may be anything; those variants enter
-    the changed delta0 rows and delta1 columns and lower lim^2."""
+def test_zero_maps_run_the_lim2_fallback(p):
+    """All maps 0: the kept m(4,6) = 0 does not span (0,1,2), so every
+    variant ranks its own image in (0,1,2), and lim^2 = dim(0,1,2) != 0.
+    With the lower maps 0, the maps (0,1)->(0,1,2) and (1,2)->(0,1,2) may be
+    anything; those variants lower lim^2."""
     rng = random.Random(p)
     dims = {0: [1, 2], 1: [1, 1], 2: [2, 0], 3: [2, 3], 4: [2, 2],
             5: [3, 1], 6: [2, 2]}
@@ -195,9 +188,8 @@ def test_zero_maps_run_the_quotient_path(p):
         dim = lambda i: d.dim(i, k)
         for arrow in LOWER_ARROWS:
             limits = VariantLimits(d, arrow, k)
-            n0, _, _ = limits.layout.dims
-            assert limits.quotient1.dim == dim(6) > 0
-            assert 0 < limits.quotient0.dim < n0
+            assert limits.kept[4, 6].is_zero() and dim(6) > 0
+            assert limits.lim2 is None
             maps = {ab: d.matrix(*ab, k) for ab in d.poset.chains2}
             assert limits(maps) == dense_limits(
                 d.poset, dim, lambda a, b: maps[a, b], p)
@@ -212,11 +204,14 @@ def test_zero_maps_run_the_quotient_path(p):
     assert lowered
 
 
-def _factored_diagram(p, r, rng):
+def _factored_diagram(p, r, rng, spanning=False):
     """A functorial diagram through F_p^r: m(a, b) = R_b L_a with L_i R_i = 1,
     so m(b, c) m(a, b) = R_c L_b R_b L_a = m(a, c).  R_i = G_i [1; 0] and
-    L_i = [1 | 0] G_i^-1 for a random invertible G_i."""
+    L_i = [1 | 0] G_i^-1 for a random invertible G_i.  ``spanning`` makes
+    (0,1,2) r-dimensional, so that m(4,6) spans it."""
     dims = {i: [rng.randint(r, r + 2)] for i in range(7)}
+    if spanning:
+        dims[6] = [r]
     R, L = {}, {}
     for i, (n,) in dims.items():
         while True:
@@ -242,13 +237,13 @@ def _inverse_modp(g, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_factored_diagrams_match_dense_oracle(p):
-    """Diagrams through F_p^r, r < dim(0,1,2), leave nonzero quotients for
-    both differentials, so the changed delta0 rows and delta1 columns of
-    every arrow are projected and ranked there."""
+    """Diagrams through F_p^r: m(4,6) has rank r, so it spans (0,1,2) when
+    r = dim(0,1,2) and lim^2 = 0 is read off it, and otherwise each variant
+    ranks its image in (0,1,2).  Both branches run."""
     rng = random.Random(p)
-    quotients = 0
-    for trial in range(6):
-        d = _factored_diagram(p, 1 + trial % 2, rng)
+    branches = set()
+    for trial in range(8):
+        d = _factored_diagram(p, 1 + trial % 2, rng, spanning=trial >= 6)
         dim = lambda i: d.dim(i, 0)
         maps = {ab: d.matrix(*ab, 0) for ab in d.poset.chains2}
         assert all(commutes(maps[a, b], maps[b, c], maps[a, c], p)
@@ -257,9 +252,9 @@ def test_factored_diagrams_match_dense_oracle(p):
         assert higher_limits(d, 0) == want
         for arrow in LOWER_ARROWS:
             limits = VariantLimits(d, arrow, 0)
-            quotients += limits.quotient0.dim > 0 and limits.quotient1.dim > 0
+            branches.add(limits.lim2)
             assert limits(maps) == want, (trial, arrow)
-    assert quotients
+    assert branches == {0, None}
 
 
 def test_sweep_leaves_out_the_smith_form():

@@ -24,7 +24,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ecomu3.linalg import (EchelonBasis, IntMatrix, modp_kernel_basis,
+from ecomu3.matrix import (EchelonBasis, IntMatrix, modp_kernel_basis,
                            modp_rank, modp_solve)
 from ecomu3.diagram import PosetDiagram
 from ecomu3.limits import bk_assemble, hexagon_kernel_dim
