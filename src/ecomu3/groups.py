@@ -59,11 +59,14 @@ class FiniteGroup:
         self.identity = tuple(range(n))
         if self.identity not in self.index:
             raise ValueError("identity missing")
-        for a in elements:
-            if _inverse(a) not in self.index:
-                raise ValueError("not closed under inverse")
+        inverses = [self.index.get(_inverse(a)) for a in elements]
+        if None in inverses:
+            raise ValueError("not closed under inverse")
         # multiplication table as element indices
         self.table = [[self.index[_compose(a, b)] for b in elements] for a in elements]
+        # the row of a^-1, x -> a^-1 x: left multiplication by a moves the
+        # coordinate at x to a x, so it reads the new x from a^-1 x
+        self.inverse_rows = [self.table[i] for i in inverses]
 
     @property
     def order(self):

@@ -71,7 +71,13 @@ from .matrix import EchelonBasis
 
 
 class NonVanishingLim2(RuntimeError):
-    """lim^2 != 0 in fiber degree ``degree``."""
+    """lim^2 != 0 in fiber degree ``degree``.
+
+    No diagram the CLI accepts raises it: ``PosetDiagram.validate`` requires
+    (0,2)->(0,1,2) to be the identity, so the maps into (0,1,2) span it and
+    lim^2 = 0.  Only a diagram passed to :func:`bk_assemble` without that
+    validation, as in the tests, can reach it.
+    """
 
     def __init__(self, degree, dim):
         super().__init__(f"lim^2 = {dim} in fiber degree {degree}")
@@ -226,9 +232,10 @@ def lim2_vanishing_check(diagram, k):
     """True iff the second differential is surjective in fiber degree k,
     i.e. the maps into (0,1,2) jointly span it.  Runs no functoriality check.
 
-    The bundled diagrams satisfy the hypothesis that the spaces at (0,2) and
-    (0,1,2) agree with identity comparison map, which forces surjectivity;
-    synthetic diagrams may fail.
+    ``PosetDiagram.validate`` requires the spaces at (0,2) and (0,1,2) to
+    agree with the identity as comparison map, which forces surjectivity, so
+    this holds for every diagram the CLI accepts, the bundled ones included;
+    only a diagram that skipped validation, as in the tests, can fail it.
     """
     dims = [diagram.dim(i, k) for i in range(len(diagram.poset))]
     matrix = lambda a, b: diagram.matrix(a, b, k)

@@ -14,9 +14,12 @@ Conventions
 A matrix with ``rows`` rows and ``cols`` columns represents a homomorphism
 Z^cols -> Z^rows acting on column vectors.  The Smith decomposition follows
 ``A == U * D * V`` with U, V unimodular, so the integer kernel of A is spanned
-by the columns of V^-1 beyond the rank.  One elimination serves three
+by the columns of V^-1 beyond the rank.  One elimination serves four
 callers and tracks only the transforms each reads: ``smith_normal_form``
-all four, ``kernel_basis`` V^-1 alone and ``invariant_factors`` none.
+all four, ``kernel_basis`` and ``kernel_and_factors`` V^-1 alone and
+``invariant_factors`` none.  ``kernel_and_factors`` returns the kernel and
+the diagonal of the same elimination, so a resolution step that needs a
+boundary's kernel gets its invariant factors for nothing.
 
 >>> A = IntMatrix.from_rows([[2, 0], [0, 3]])
 >>> smith_normal_form(A).invariant_factors
@@ -218,25 +221,36 @@ def invariant_factors(A):
     return [w.D[i][i] for i in range(r)]
 
 
-def kernel_basis(A):
-    """Basis of ker(A): the columns of V^-1 beyond the rank (only V^-1 is
-    tracked).  The kernel of a 0 x n map is Z^n, that of an n x 0 map 0."""
-    w, r = _eliminate(A, full=False, vinv=True)
+def _kernel_columns(w, r):
     return [[row[j] for row in w.Vinv] for j in range(r, w.n)]
 
 
-def kernel_basis_reduced(A):
-    """Kernel basis in column-Hermite form: triangular, size-reduced, canonical.
+def kernel_basis(A):
+    """Basis of ker(A): the columns of V^-1 beyond the rank (only V^-1 is
+    tracked).  The kernel of a 0 x n map is Z^n, that of an n x 0 map 0."""
+    return _kernel_columns(*_eliminate(A, full=False, vinv=True))
+
+
+def kernel_and_factors(A):
+    """(kernel basis in column-Hermite form, nonzero invariant factors) of A,
+    both from one elimination.
 
     The raw Smith-form kernel vectors can carry enormous entries; reducing
     the kernel lattice to Hermite form keeps downstream boundary matrices
     small, which is what stops pivot growth from compounding across the
     degrees of a resolution.
     """
+    w, r = _eliminate(A, full=False, vinv=True)
     lattice = ColumnLattice(A.cols)
-    for v in kernel_basis(A):
+    for v in _kernel_columns(w, r):
         lattice.add(v)
-    return lattice.hermite_basis()
+    return lattice.hermite_basis(), [w.D[i][i] for i in range(r)]
+
+
+def kernel_basis_reduced(A):
+    """Kernel basis in column-Hermite form: triangular, size-reduced, canonical
+    (see :func:`kernel_and_factors`)."""
+    return kernel_and_factors(A)[0]
 
 
 class ColumnLattice:

@@ -11,12 +11,18 @@ Each step depends only on the previous boundary, so the build stops at the
 first boundary equal to an earlier one and copies that period (for S3,
 d_10 = d_6); verification and the cohomology tables then do each piece of
 work once per distinct boundary (:meth:`FreeResolution.first_equal_degree`).
+The elimination that gives a step its kernel also gives the previous
+boundary's invariant factors, which exactness reads, so a build and its
+verification eliminate each distinct boundary once (for S3 from length 9 on,
+the 10 of them, augmentation included).
 
 Basis bookkeeping: the free module (ZG)^r has Z-basis (h, e_i) for h in G,
-0 <= i < r, flattened as index i * |G| + index(h).  A boundary is stored by
-its generator images w_1..w_r (integer vectors), and the full integer matrix
+0 <= i < r, flattened as index i * |G| + index(h).  G acts by permuting
+these indices (:func:`_regular_action`).  A boundary is stored by its
+generator images w_1..w_r (integer vectors), and the full integer matrix
 has columns g . w_j for every (g, j), so ZG-equivariance holds by
-construction and is still re-checked.
+construction and is still re-checked; d_{k-1} d_k = 0 is then checked on
+the generator images alone (see :meth:`FreeResolution.verify`).
 
 Group cohomology is the cohomology of the Hom-complex: the term in degree k
 is M^{r_k} and the differential substitutes the module action matrices for
@@ -26,7 +32,7 @@ group elements in the boundary.
 from __future__ import annotations
 
 from .abelian import cohomology_from_factors, p_primary
-from .linalg import ColumnLattice, invariant_factors, kernel_basis_reduced
+from .linalg import ColumnLattice, invariant_factors, kernel_and_factors
 from .matrix import CompositionNonzero, IntMatrix, modp_rank
 
 
@@ -34,22 +40,19 @@ class ResolutionFailure(RuntimeError):
     """Exactness or equivariance verification failed; indicates a bug."""
 
 
-def _act(group, g, vec, rank):
-    """The regular-representation action of g on (ZG)^rank, by indices."""
+def _regular_action(group, rank):
+    """Per element g (in ``group.elements`` order), the index list ``perm``
+    with (g . v)[x] = v[perm[x]] on (ZG)^rank."""
     n = group.order
-    out = [0] * (rank * n)
-    gi_row = group.table[group.index[g]]
-    for i in range(rank):
-        base = i * n
-        for h in range(n):
-            out[base + gi_row[h]] = vec[base + h]
-    return out
+    return [[i * n + y for i in range(rank) for y in row]
+            for row in group.inverse_rows]
 
 
 def _boundary_matrix(group, gens, rank_in):
     """The map (ZG)^len(gens) -> (ZG)^rank_in sending e_j to gens[j]."""
     # column order must match the (h, e_j) basis flattening j * |G| + h
-    cols = [_act(group, g, w, rank_in) for w in gens for g in group.elements]
+    perms = _regular_action(group, rank_in)
+    cols = [[w[i] for i in perm] for w in gens for perm in perms]
     return IntMatrix.from_columns(cols, rows=rank_in * group.order)
 
 
@@ -61,6 +64,7 @@ class FreeResolution:
         self.ranks = list(ranks)
         self.generator_vectors = [[list(v) for v in step] for step in generator_vectors]
         self._boundaries = {}
+        self._factors = {}
 
     @property
     def length(self):
@@ -95,26 +99,49 @@ class FreeResolution:
         self._boundaries[j] = m
         return m
 
+    def boundary_factors(self, k):
+        """The nonzero invariant factors of d_k (the augmentation for k = 0).
+
+        :func:`free_resolution` stores them from the elimination that gave
+        the next step its kernel; a resolution made otherwise eliminates
+        each distinct boundary here, once.
+        """
+        j = self.first_equal_degree(k)
+        if j not in self._factors:
+            self._factors[j] = invariant_factors(
+                self.boundary(j) if j else self.augmentation())
+        return self._factors[j]
+
     def verify(self):
-        """Boundary-squared, equivariance and exactness at every inner degree.
+        """Equivariance, boundary-squared and exactness at every inner degree.
 
         Each check is made once per distinct boundary or distinct pair of
         consecutive boundaries (see :meth:`first_equal_degree`): exactness at
-        degree k depends only on d_k and d_{k+1}.  Each boundary is
-        eliminated once for its invariant factors.
+        degree k depends only on d_k and d_{k+1}.
+
+        d_{k-1} d_k = 0 is checked on the generator images w_j of d_k alone,
+        after equivariance.  That is as strong as the full product: the
+        columns of d_k are g . w_j by construction (and equivariance of d_k
+        re-checks that they are orbits), and once d_{k-1} is known to be
+        equivariant, d_{k-1}(g . w_j) = g . d_{k-1}(w_j), which is 0 exactly
+        when d_{k-1}(w_j) is; the augmentation is G-invariant, so for k = 1
+        it reads the same value on every column of an orbit.
         """
+        n = self.group.order
         first = [self.first_equal_degree(k) for k in range(self.length + 1)]
-        maps = {j: self.boundary(j) if j else self.augmentation()
-                for j in dict.fromkeys(first)}
-        for k, a, b in _distinct_pairs(first):
-            if not (maps[a] * maps[b]).is_zero():
-                raise ResolutionFailure(f"d_{k-1} d_{k} != 0")
-        for j in maps:
+        for j in dict.fromkeys(first):
             if j:
                 self._verify_equivariance(j)
-        factors = {j: invariant_factors(m) for j, m in maps.items()}
         for k, a, b in _distinct_pairs(first):
-            h = cohomology_from_factors(maps[a].cols, len(factors[a]), factors[b])
+            prev = self.boundary(a) if a else self.augmentation()
+            gens = IntMatrix.from_columns(self.generator_vectors[b - 1],
+                                          rows=self.ranks[b - 1] * n)
+            if not (prev * gens).is_zero():
+                raise ResolutionFailure(f"d_{k-1} d_{k} != 0")
+        for k, a, b in _distinct_pairs(first):
+            h = cohomology_from_factors(self.ranks[a] * n,
+                                        len(self.boundary_factors(a)),
+                                        self.boundary_factors(b))
             if not h.is_trivial:
                 raise ResolutionFailure(f"not exact at degree {k - 1}: {h}")
         return True
@@ -125,12 +152,13 @@ class FreeResolution:
         n = self.group.order
         bk = self.boundary(k)
         cols = [bk.column(c) for c in range(bk.cols)]
+        perms = _regular_action(self.group, self.ranks[k - 1])
         for g in self.group.generators:
-            row_of = self.group.table[self.group.index[g]]
+            gi = self.group.index[g]
+            perm, row_of = perms[gi], self.group.table[gi]
             for j in range(self.ranks[k]):
                 for h in range(n):
-                    expect = _act(self.group, g, cols[j * n + h], self.ranks[k - 1])
-                    if expect != cols[j * n + row_of[h]]:
+                    if [cols[j * n + h][i] for i in perm] != cols[j * n + row_of[h]]:
                         raise ResolutionFailure(f"boundary {k} not equivariant")
 
     def hom_differential(self, module, k):
@@ -138,49 +166,47 @@ class FreeResolution:
         n = self.group.order
         mrank = module.rank
         rk, rk1 = self.ranks[k], self.ranks[k - 1]
-        rows = [[0] * (rk1 * mrank) for _ in range(rk * mrank)]
-        for j in range(rk):
-            w = self.generator_vectors[k - 1][j]
+        actions = [module.action_matrix(h).entries for h in self.group.elements]
+        width = rk1 * mrank
+        entries = [0] * (rk * mrank * width)
+        for j, w in enumerate(self.generator_vectors[k - 1]):
             for i in range(rk1):
-                base = i * n
-                block = [[0] * mrank for _ in range(mrank)]
-                for h_idx, h in enumerate(self.group.elements):
-                    c = w[base + h_idx]
+                # the block at (j, i) is sum_h w[i, h] * action(h), row-major
+                block = [0] * (mrank * mrank)
+                for h in range(n):
+                    c = w[i * n + h]
                     if c:
-                        m = module.action_matrix(h)
-                        for a in range(mrank):
-                            ra = block[a]
-                            for b in range(mrank):
-                                ra[b] += c * m[a, b]
+                        block = [x + c * y for x, y in zip(block, actions[h])]
                 for a in range(mrank):
-                    for b in range(mrank):
-                        rows[j * mrank + a][i * mrank + b] = block[a][b]
-        return IntMatrix.from_rows(rows)
+                    start = (j * mrank + a) * width + i * mrank
+                    entries[start:start + mrank] = block[a * mrank:(a + 1) * mrank]
+        return IntMatrix(rk * mrank, width, entries)
 
 
 def greedy_generators(group, boundary, generator_order="hermite"):
-    """ZG-module generators of the kernel of ``boundary``: d_{k+1} from d_k.
+    """(ZG-module generators of the kernel of ``boundary``, the invariant
+    factors of ``boundary``), both from one elimination: d_{k+1} from d_k.
 
     ``boundary`` is the integer matrix of d_k : (ZG)^{r_k} -> (ZG)^{r_{k-1}}
     (the augmentation for k = 0).  The result depends on that matrix and the
     order alone, so two equal boundaries are followed by equal ones.
     """
-    kernel = kernel_basis_reduced(boundary)
+    kernel, factors = kernel_and_factors(boundary)
     # shortest vectors first keeps the chosen generators (hence the next
     # boundary, hence all later Smith pivots) small
     reverse_ties = generator_order == "reversed"
-    kernel.sort(key=lambda v: (sum(abs(x) for x in v),
+    kernel.sort(key=lambda v: (sum(map(abs, v)),
                                [-x for x in v] if reverse_ties else list(v)))
-    rank = boundary.cols // group.order
+    perms = _regular_action(group, boundary.cols // group.order)
     lattice = ColumnLattice(boundary.cols)
     chosen = []
     for v in kernel:
         if chosen and lattice.contains(v):
             continue
         chosen.append(v)
-        for g in group.elements:
-            lattice.add(_act(group, g, v, rank))
-    return chosen
+        for perm in perms:
+            lattice.add([v[i] for i in perm])
+    return chosen, factors
 
 
 def free_resolution(group, length, generator_order="hermite"):
@@ -195,14 +221,16 @@ def free_resolution(group, length, generator_order="hermite"):
     The greedy step is a function of the previous boundary alone, so once
     d_k repeats an earlier d_j every later degree repeats with period k - j:
     the build stops at the first repeat and copies the period up to
-    ``length``.
+    ``length``.  Each step keeps the invariant factors of the boundary it
+    eliminated for :meth:`FreeResolution.verify`.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     res = FreeResolution(group, [1], [])
     current = res.augmentation()
     for k in range(1, length + 1):
-        chosen = greedy_generators(group, current, generator_order)
+        chosen, factors = greedy_generators(group, current, generator_order)
+        res._factors[k - 1] = factors        # d_{k-1} is not a repeat
         res.ranks.append(len(chosen))
         res.generator_vectors.append(chosen)
         period = k - res.first_equal_degree(k)

@@ -50,3 +50,32 @@ def test_summary_medians_quartiles_and_wins(bench_pairs):
     assert "change" not in reproduce and "ratio_of_medians" not in reproduce
     assert reproduce["change_better_pairs"] == "0/0"
     assert reproduce["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "n": 1}
+
+
+def test_summary_flags_metrics_past_their_bound(bench_pairs):
+    spec = {"end_to_end": [
+        {"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+        {"name": "op_s_mid", "better": "lower", "bound": 0.05},
+        {"name": "peak_rss_mb", "better": "lower"}]}
+
+    def run(side, pair, throughput, op_s, workload):
+        r = _run(side, pair, throughput, op_s, workload=workload)
+        r["last_line"]["metrics"]["peak_rss_mb"] = {"value": 30.0 if side == "parent"
+                                                    else 60.0}
+        return r
+
+    runs = [run("parent", 0, 100, 0.0100, "sweep"),
+            run("change", 0, 74, 0.0106, "sweep"),      # 0.74 < 0.75; 1.06 > 1.05
+            run("parent", 0, 100, 0.0100, "reproduce"),
+            run("change", 0, 76, 0.0104, "reproduce")]  # both within the bound
+    summary = bench_pairs.summarize(runs, spec)
+    assert summary["sweep"]["throughput_per_s"]["past_bound"] is True
+    assert summary["sweep"]["op_s_mid"]["past_bound"] is True
+    assert summary["reproduce"]["throughput_per_s"]["past_bound"] is False
+    assert summary["reproduce"]["op_s_mid"]["past_bound"] is False
+    # a metric without a bound is not judged, however far it moves
+    assert "past_bound" not in summary["sweep"]["peak_rss_mb"]
+    lines = bench_pairs.past_bound_lines(summary)
+    assert lines == ["sweep throughput_per_s: ratio of medians 0.7400 is past "
+                     "its bound",
+                     "sweep op_s_mid: ratio of medians 1.0600 is past its bound"]

@@ -424,6 +424,31 @@ def test_u3t2(capsys):
     assert data["series"] == [1, 0, 1, 1, 1, 1, 0, 1]
 
 
+def test_cli_accepts_no_diagram_with_nonzero_lim2(tmp_path, capsys):
+    """validate pins (0,2)->(0,1,2) to the identity, so the maps into (0,1,2)
+    span it and lim^2 = 0 in every diagram the CLI computes with.  The way to
+    get lim^2 != 0, every map into (0,1,2) zeroed, is refused before any
+    limit is taken."""
+    from ecomu3.diagram import PosetDiagram
+    from ecomu3.limits import NonVanishingLim2, bk_assemble, higher_limits
+    data = load_bundled(2).to_json()
+    for entry in data["maps"]:
+        if entry["to"] == 6:
+            entry["degrees"] = {k: [[0] * len(row) for row in m]
+                                for k, m in entry["degrees"].items()}
+    zeroed = PosetDiagram.from_json(data)
+    assert higher_limits(zeroed, 0)[2] > 0
+    with pytest.raises(NonVanishingLim2):
+        bk_assemble(zeroed)
+    path = tmp_path / "zeroed.json"
+    path.write_text(json.dumps(data))
+    for argv in (["holim", "limits"], ["holim", "e2"], ["ecom-u3", "--prime", "2"]):
+        code, out, err = run(capsys, *argv, "--diagram", str(path))
+        assert (code, out) == (1, ""), argv
+        assert err == ("error: ConstraintViolation: (0,2)->(0,1,2) is not the "
+                       "identity in degree 0\n"), argv
+
+
 def test_holim_and_ecom(capsys):
     code, out, _ = run(capsys, "--format", "json", "holim", "validate",
                        "--prime", "3")

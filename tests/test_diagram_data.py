@@ -1,5 +1,6 @@
 """The bundled diagrams: validation, shapes, column lists, robustness."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -260,6 +261,51 @@ def test_robustness_sweep_pins_every_block(diagram_p2, diagram_p3, sweeps):
     assert got == SWEEP_BLOCKS_SEED0
     assert sum(v[1] for v in got.values()) == 2920
     assert sum(v[2] for v in got.values()) == 2904
+
+
+# (arrow, degree): SHA-256 of repr([(rows, cols, entries)]) of the variants
+# check_block draws at rng_seed 0 for the ten sampled p=3 blocks.  Every one
+# of them completes all 200 draws, so the counts above cannot see a change of
+# which variants are drawn.
+SAMPLED_VARIANTS_P3_SEED0 = {
+    ((1, 3), 7): "939100824d7e2a1d1e720c170d1893787658772967a5c9d35632808435147630",
+    ((2, 4), 4): "860bd256bddc72962191f0e16dd61f42fb79df9fd943a9552e1fcf82671b4218",
+    ((2, 4), 6): "3fb982372fc3d50cddcaed256aefd23b75fb59b3e680783320dfd58cb45c633f",
+    ((2, 4), 7): "53c3c7fa0eda4f45fc8ad93316d02b8b26c545889bad3e0f9936dbeacf4833de",
+    ((2, 4), 8): "a9dd8540b46126ce330494ffc911888d2546c0733c81701fe21e1aa9f6acdca8",
+    ((1, 5), 7): "b2320923678476d9c910353a98fe2a3b5ee1ef1c2e519ad3bdd76502a787ce23",
+    ((2, 5), 4): "12e690b7d7e83d5806ddd5be03520cdcb08abcfae5967995882ccc4e61f722cc",
+    ((2, 5), 6): "daeac5d4ffc28cef74db85d19adab9b38cae7b9bf6320013f85b6f738a59a782",
+    ((2, 5), 7): "58cc07da872c66f30aee973dbd0fb2317d4e5ccf571b5e9bba0f6cadd56209c3",
+    ((2, 5), 8): "0d1f8142863857523458bbaeb56b799938f55589450d88ea609cb41b6fd06468",
+}
+
+
+def test_sampled_blocks_draw_the_pinned_variants(diagram_p3, monkeypatch):
+    """check_block's own draws, so its seed and its call are pinned too; each
+    block stops once it has drawn."""
+    from ecomu3 import robustness
+
+    class Drawn(Exception):
+        pass
+
+    def recording(m, p, rng):
+        raise Drawn(original(m, p, rng))
+
+    original = robustness.kernel_image_variants
+    monkeypatch.setattr(robustness, "kernel_image_variants", recording)
+    got = {}
+    for arrow in LOWER_ARROWS:
+        for k in range(diagram_p3.max_degree + 1):
+            try:
+                check_block(diagram_p3, arrow, k)
+            except Drawn as drawn:
+                variants, exhaustive = drawn.args[0]
+                if not exhaustive:
+                    assert len(variants) == 200
+                    data = repr([(v.rows, v.cols, v.entries) for v in variants])
+                    got[arrow, k] = hashlib.sha256(data.encode()).hexdigest()
+    assert got == SAMPLED_VARIANTS_P3_SEED0
 
 
 def test_robustness_exhaustive_small_blocks(diagram_p2):

@@ -10,9 +10,11 @@ route of ``cohomology_oracle``, not through the deduplicated tables.
 import pytest
 
 from cohomology_oracle import invariants_degree_zero, periodicity_verify
-from ecomu3 import published
+from ecomu3 import linalg, published
 from ecomu3.abelian import AbelianGroup
 from ecomu3.groups import cyclic_group, symmetric_group, trivial_module
+from ecomu3.linalg import invariant_factors
+from ecomu3.matrix import IntMatrix
 from ecomu3.resolution import (FreeResolution, ResolutionFailure, free_resolution,
                                greedy_generators, group_cohomology,
                                group_cohomology_table)
@@ -54,6 +56,59 @@ def test_verify_rejects_non_exact(defect, homology):
                          good.generator_vectors[:-1] + [top])
     with pytest.raises(ResolutionFailure,
                        match=f"not exact at degree 3: {homology}$"):
+        bad.verify()
+
+
+def test_build_eliminates_each_boundary_once(monkeypatch):
+    # the greedy step's elimination of d_{k-1} also gives the invariant
+    # factors verify() reads, so the ten distinct boundaries (augmentation
+    # included) of the S3 resolution are eliminated once each
+    calls = []
+    original = linalg._eliminate
+
+    def counting(A, full, vinv):
+        calls.append((A.rows, A.cols))
+        return original(A, full, vinv)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    res = free_resolution(symmetric_group(3), 15)
+    distinct = sorted({res.first_equal_degree(k) for k in range(16)})
+    assert distinct == list(range(10))
+    assert len(calls) == 10
+    stored = [res.boundary_factors(j) for j in distinct]
+    assert len(calls) == 10
+    assert stored == [invariant_factors(res.boundary(j) if j else res.augmentation())
+                      for j in distinct]
+
+
+def test_verify_checks_each_generator_against_the_boundary_below():
+    # d_{k-1} d_k = 0 is checked on the generator images of d_k alone; a
+    # generator outside ker d_{k-1} at a degree the build does not copy fails
+    group = symmetric_group(3)
+    good = free_resolution(group, 5)
+    assert good.first_equal_degree(3) == 3
+    gens = [[list(v) for v in step] for step in good.generator_vectors]
+    outside = [0] * len(gens[2][0])
+    outside[0] = 1                       # column 0 of d_2, which is nonzero
+    assert any(good.boundary(2).column(0))
+    gens[2][0] = outside
+    bad = FreeResolution(group, good.ranks, gens)
+    with pytest.raises(ResolutionFailure, match="d_2 d_3 != 0"):
+        bad.verify()
+
+
+def test_verify_refuses_a_column_outside_the_kernel_off_the_generators():
+    # a non-generator column of d_3 outside ker d_2 passes the generator-only
+    # d^2 check; the equivariance check must refuse it
+    group = symmetric_group(3)
+    good = free_resolution(group, 5)
+    bad = FreeResolution(group, good.ranks, good.generator_vectors)
+    d3 = good.boundary(3)
+    cols = [d3.column(c) for c in range(d3.cols)]
+    cols[1] = [1] + [0] * (d3.rows - 1)
+    assert any(good.boundary(2).column(0))
+    bad._boundaries[3] = IntMatrix.from_columns(cols, rows=d3.rows)
+    with pytest.raises(ResolutionFailure, match="boundary 3 not equivariant"):
         bad.verify()
 
 
@@ -111,6 +166,7 @@ def test_periodicity(resolution, catalog):
 def test_greedy_step_reproduces_every_degree(order):
     # the build copies degrees past the first repeated boundary; rerunning
     # the greedy step on each stored boundary must give the stored next one
+    # and the stored invariant factors
     group = symmetric_group(3)
     res = free_resolution(group, 15, generator_order=order)
     assert res.first_equal_degree(15) < 15
@@ -121,7 +177,8 @@ def test_greedy_step_reproduces_every_degree(order):
             alone = FreeResolution(group, res.ranks[k - 2:k],
                                    [res.generator_vectors[k - 2]])
             prev = alone.boundary(1)
-        assert greedy_generators(group, prev, order) == res.generator_vectors[k - 1], k
+        assert greedy_generators(group, prev, order) == (
+            res.generator_vectors[k - 1], res.boundary_factors(k - 1)), k
 
 
 def test_verify_checks_copied_degrees(resolution):

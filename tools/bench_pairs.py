@@ -16,8 +16,10 @@ set-up processes would read whatever bytecode cache an earlier run left, and
 The result goes to ``BENCH_<label>.json`` in the current directory: the
 environment, each side's commit and a digest of its ``src/`` tree, every
 run's last JSON line, and per workload and end-to-end metric each side's
-median and quartiles and the pairs the change wins (by the metric's
-``better`` direction in the change's ``BENCHMARK.json``).  If the file exists
+median and quartiles, the pairs the change wins (by the metric's
+``better`` direction in the change's ``BENCHMARK.json``) and the ratio of
+the medians, with ``past_bound`` true where that ratio is worse than the
+metric's ``bound`` (each such metric is also printed).  If the file exists
 for the same two trees, the new runs are added to it, so one file can hold
 several workloads.
 """
@@ -74,9 +76,23 @@ def summarize(runs, spec):
                        for p in pairs)
             row["change_better_pairs"] = f"{wins}/{len(pairs)}"
             if len(row) == 3 and row["parent"]["median"]:
-                row["ratio_of_medians"] = (row["change"]["median"]
-                                           / row["parent"]["median"])
+                ratio = row["ratio_of_medians"] = (row["change"]["median"]
+                                                   / row["parent"]["median"])
+                if "bound" in metric:
+                    bound = metric["bound"]
+                    row["past_bound"] = (ratio < 1 - bound if higher
+                                         else ratio > 1 + bound)
     return out
+
+
+def past_bound_lines(summary):
+    """One line per workload and end-to-end metric whose ratio of medians is
+    worse than its bound."""
+    return [f"{workload} {name}: ratio of medians {row['ratio_of_medians']:.4f} "
+            "is past its bound"
+            for workload, metrics in sorted(summary.items())
+            for name, row in metrics.items()
+            if row.get("past_bound")]
 
 
 def tree_digest(root):
@@ -163,6 +179,8 @@ def main(argv=None):
     data["summary"] = summarize(data["runs"], spec)
     out_path.write_text(json.dumps(data, indent=1) + "\n")
     print(json.dumps(data["summary"][args.workload], indent=1))
+    for line in past_bound_lines(data["summary"]):
+        print(f"PAST BOUND: {line}", file=sys.stderr)
     return 0
 
 
