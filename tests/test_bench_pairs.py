@@ -1,6 +1,7 @@
 """The summary that tools/bench_pairs.py writes, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,22 @@ def test_summary_flags_metrics_past_their_bound(bench_pairs):
     assert lines == ["sweep throughput_per_s: ratio of medians 0.7400 is past "
                      "its bound",
                      "sweep op_s_mid: ratio of medians 1.0600 is past its bound"]
+
+
+def test_a_second_call_with_the_same_seed_adds_pairs(bench_pairs, tmp_path,
+                                                     monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    throughput = {"parent": 100, "change": 120}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, args: _run(
+        root.name, 0, throughput[root.name], 0.01)["last_line"])
+    monkeypatch.chdir(tmp_path)
+    argv = ["parent", "change", "--workload", "sweep", "--seed", "7",
+            "--pairs", "2", "--label", "twice"]
+    for _ in range(2):
+        assert bench_pairs.main(argv) == 0
+    data = json.loads((tmp_path / "BENCH_twice.json").read_text())
+    assert [r["pair"] for r in data["runs"]] == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert [r["side"] for r in data["runs"][4:6]] == ["parent", "change"]
+    assert data["summary"]["sweep"]["throughput_per_s"]["change_better_pairs"] == "4/4"

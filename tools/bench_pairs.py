@@ -21,7 +21,7 @@ median and quartiles, the pairs the change wins (by the metric's
 the medians, with ``past_bound`` true where that ratio is worse than the
 metric's ``bound`` (each such metric is also printed).  If the file exists
 for the same two trees, the new runs are added to it, so one file can hold
-several workloads.
+several workloads and several calls per workload.
 """
 
 from __future__ import annotations
@@ -165,7 +165,12 @@ def main(argv=None):
                    "cpu_count": os.cpu_count(),
                    "PYTHONDONTWRITEBYTECODE": "1"}
     data["order"] = "even pairs run the parent first, odd pairs the change"
-    for pair in range(args.pairs):
+    # pairs are numbered on from those the file already holds for this
+    # workload and seed, so a second call with the same seed adds pairs
+    first = 1 + max((r["pair"] for r in data["runs"]
+                     if (r["workload"], r["seed"]) == (args.workload, args.seed)),
+                    default=-1)
+    for pair in range(first, first + args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             line = run_once(roots[side], args)
