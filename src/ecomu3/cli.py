@@ -43,7 +43,7 @@ From the import of this module to the end of the call it takes 43-97 ms,
 
 Exit status is 0 only if every internal validation passed; comparisons
 against published values fail hard unless the mismatch is recorded as a
-known discrepancy in the bundled data.
+known discrepancy in :mod:`ecomu3.published`.
 """
 
 from __future__ import annotations
@@ -284,13 +284,7 @@ def cmd_serre(args, report):
 
 def _check_published_serre(name, prime, graded, series, report):
     from . import published
-    expected = {
-        ("flbar3", 3): (published.FLBAR3_P3, published.FLBAR3_P3_SERIES, None),
-        ("flbar3", 2): (published.FLBAR3_P2, published.FLBAR3_P2_SERIES, None),
-        ("fl3xfl3", 3): (published.FL3XFL3_P3, published.FL3XFL3_P3_SERIES,
-                         published.FL3XFL3_P3_SERIES_PRINTED_NOTE),
-        ("fl3xfl3", 2): (published.FL3XFL3_P2, published.FL3XFL3_P2_SERIES, None),
-    }.get((name, prime))
+    expected = published.SERRE.get((name, prime))
     if expected is None:
         return
     want_table, want_series, note = expected
@@ -314,7 +308,7 @@ def cmd_u3t2(args, report):
     report.add_result("transgressions", out["steps"])
     report.add_result("oracle_series", list(out["oracle"].coefficients),
                       provenance="independent Koszul homology")
-    want = published.U3T2_P2_SERIES if args.prime == 2 else published.U3T2_P3_SERIES
+    want = published.U3T2_SERIES[args.prime]
     if out["series"].coefficients != want.coefficients:
         raise CommandError("series does not match the published value")
     report.add_result("published_match", True, provenance="[PAPER]")
@@ -402,13 +396,9 @@ def cmd_ecom_u3(args, report):
                       provenance=diagram.provenance.get("dims", "computed"))
     series = PoincareSeries(dims)
     report.add_result("poincare_series", list(series.coefficients))
-    published_table = (published.ECOM_U3_MOD2 if args.prime == 2
-                       else published.ECOM_U3_MOD3)
+    published_table = published.ECOM_U3[args.prime]
     deviations = {d: dims[d] for d in range(15) if dims[d] != published_table[d]}
-    if args.prime == 2:
-        allowed = published.ECOM_U3_MOD2_FORCED_DEVIATIONS
-    else:
-        allowed = {}
+    allowed = published.ECOM_U3_FORCED_DEVIATIONS[args.prime]
     unexpected = {d: v for d, v in deviations.items() if allowed.get(d) != v}
     for d, v in deviations.items():
         if d in allowed:

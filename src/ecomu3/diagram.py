@@ -18,7 +18,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .matrix import IntMatrix, modp_rank, modp_kernel_basis
+from .matrix import IntMatrix, modp_rank
 from .poset import PosetSn
 
 
@@ -112,9 +112,6 @@ class PosetDiagram:
         elif kind == "injective":
             if modp_rank(m, p) != m.cols:
                 fail("not injective")
-        elif kind == "zero":
-            if any(e % p for e in m.entries):
-                fail("not zero")
         elif kind == "identity":
             if not equal_modp(m, IntMatrix.identity(m.rows), p):
                 fail("not the identity")
@@ -125,13 +122,6 @@ class PosetDiagram:
             want = IntMatrix.from_rows([[1] + [0] * (m.cols - 1)])
             if not equal_modp(m, want, p):
                 fail("not the projection of the first coordinate")
-        elif kind == "kernel_within":
-            oa, ob = pin["of"]
-            other = self.matrix(oa, ob, k)
-            for v in modp_kernel_basis(m, p):
-                if any(x % p for x in other.apply(v)):
-                    fail(f"kernel not within kernel of "
-                         f"{self.arrow_name(oa, ob)}")
         else:
             fail(f"unknown pin {kind!r}")
 
@@ -225,11 +215,6 @@ def _check_shape(obj):
         for pin in rec["pins"]:
             if pin["kind"] == "rank":
                 need(is_int(pin.get("value")), 'a "rank" pin needs a "value"')
-            elif pin["kind"] == "kernel_within":
-                of = pin.get("of")
-                need(isinstance(of, list) and len(of) == 2
-                     and all(map(is_int, of)),
-                     'a "kernel_within" pin needs "of": [from, to]')
     need(isinstance(obj.get("provenance") or {}, dict),
          '"provenance" must be an object')
     notes = obj.get("notes") or []

@@ -228,20 +228,6 @@ def higher_limits(diagram, k):
     return lim0, lim0 + lim2 - (n0 - n1 + n2), lim2
 
 
-def lim2_vanishing_check(diagram, k):
-    """True iff the second differential is surjective in fiber degree k,
-    i.e. the maps into (0,1,2) jointly span it.  Runs no functoriality check.
-
-    ``PosetDiagram.validate`` requires the spaces at (0,2) and (0,1,2) to
-    agree with the identity as comparison map, which forces surjectivity, so
-    this holds for every diagram the CLI accepts, the bundled ones included;
-    only a diagram that skipped validation, as in the tests, can fail it.
-    """
-    dims = [diagram.dim(i, k) for i in range(len(diagram.poset))]
-    matrix = lambda a, b: diagram.matrix(a, b, k)
-    return top_image_dim(dims, matrix, diagram.prime) == dims[6]
-
-
 def bk_assemble(diagram, top_degree=None):
     """Graded F_p dimensions of the homotopy colimit's cohomology.
 

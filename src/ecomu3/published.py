@@ -1,9 +1,12 @@
-"""Reference values the pipeline is checked against.
+"""Reference values the pipeline is checked against: the one registry of
+published values and recorded discrepancies.
 
 Each constant is a verbatim transcription of a published table or series (or,
-where flagged, the corrected form of one with its recorded discrepancy).  The
-CLI compares computed results against these and treats any mismatch that is
-not covered by a recorded discrepancy as a hard failure.
+where flagged, the corrected form of one with its recorded discrepancy),
+keyed by prime, and the Serre references also by config name.  The CLI, the
+diagram data tool and the tests look values up here instead of restating
+them; the CLI treats any mismatch that is not covered by a recorded
+discrepancy as a hard failure.
 """
 
 from .abelian import AbelianGroup, PoincareSeries
@@ -77,38 +80,45 @@ S3_COHOMOLOGY = {
 
 # unordered flag threefold ---------------------------------------------------
 
-FLBAR3_P3 = table("Z", "0", "0", "0", "Z/3", "Z/3", "0")
-FLBAR3_P2 = table("Z", "0", "Z/2", "0", "Z/2", "0", "Z/2")
-FLBAR3_P3_SERIES = PoincareSeries([1, 0, 0, 1, 2, 1])
-FLBAR3_P2_SERIES = PoincareSeries([1, 1, 1, 1, 1, 1, 1])
+FLBAR3 = {2: table("Z", "0", "Z/2", "0", "Z/2", "0", "Z/2"),
+          3: table("Z", "0", "0", "0", "Z/3", "Z/3", "0")}
+FLBAR3_SERIES = {2: PoincareSeries([1, 1, 1, 1, 1, 1, 1]),
+                 3: PoincareSeries([1, 0, 0, 1, 2, 1])}
 
 # twisted square of the flag threefold ---------------------------------------
 
-FL3XFL3_P3 = table("Z", "0", "0", "0", "Z + Z/3", "Z/3 + Z/3", "Z^2 + Z/3",
-                   "Z/3", "Z + Z/3 + Z/3", "Z/3", "0", "0", "Z")
-FL3XFL3_P2 = table("Z", "0", "Z/2", "0", "Z + Z/2", "0", "Z^2 + Z/2", "Z/2",
-                   "Z", "Z/2", "0", "Z/2", "Z")
-FL3XFL3_P2_SERIES = PoincareSeries([1, 1, 1, 1, 2, 1, 4, 1, 2, 1, 1, 1, 1])
-# derived by universal coefficients from the table above; the printed
+FL3XFL3 = {2: table("Z", "0", "Z/2", "0", "Z + Z/2", "0", "Z^2 + Z/2", "Z/2",
+                    "Z", "Z/2", "0", "Z/2", "Z"),
+           3: table("Z", "0", "0", "0", "Z + Z/3", "Z/3 + Z/3", "Z^2 + Z/3",
+                    "Z/3", "Z + Z/3 + Z/3", "Z/3", "0", "0", "Z")}
+# at p=3 derived by universal coefficients from the table above; the printed
 # corollary repeats its degree-4 term where the degree-8 term belongs
-FL3XFL3_P3_SERIES = PoincareSeries([1, 0, 0, 1, 4, 3, 4, 3, 4, 1, 0, 0, 1])
-FL3XFL3_P3_SERIES_PRINTED_NOTE = (
+FL3XFL3_SERIES = {2: PoincareSeries([1, 1, 1, 1, 2, 1, 4, 1, 2, 1, 1, 1, 1]),
+                  3: PoincareSeries([1, 0, 0, 1, 4, 3, 4, 3, 4, 1, 0, 0, 1])}
+FL3XFL3_SERIES_PRINTED_NOTE = {3: (
     "printed series has '4t^4' where the palindromic universal-coefficient "
-    "conversion gives 4t^8; the derived series is emitted")
+    "conversion gives 4t^8; the derived series is emitted")}
+
+# the Serre references, per (config name, prime): (table, series, the note
+# on the printed series or None)
+SERRE = {(name, p): (tables[p], series[p], notes.get(p))
+         for name, tables, series, notes in [
+             ("flbar3", FLBAR3, FLBAR3_SERIES, {}),
+             ("fl3xfl3", FL3XFL3, FL3XFL3_SERIES, FL3XFL3_SERIES_PRINTED_NOTE)]
+         for p in (2, 3)}
 
 # blockwise-torus quotient of the unitary group ------------------------------
 
-U3T2_P2_SERIES = PoincareSeries([1, 0, 1, 0, 0, 1, 0, 1])
-U3T2_P3_SERIES = PoincareSeries([1, 0, 1, 1, 1, 1, 0, 1])
-U3T2_P2_RELATIONS = {"z5^2", "b^2"}
-U3T2_P3_RELATIONS = {"z3^2", "b^3"}
+U3T2_SERIES = {2: PoincareSeries([1, 0, 1, 0, 0, 1, 0, 1]),
+               3: PoincareSeries([1, 0, 1, 1, 1, 1, 0, 1])}
+U3T2_RELATIONS = {2: {"z5^2", "b^2"}, 3: {"z3^2", "b^3"}}
 
-PU3_P2_SERIES = PoincareSeries([1, 0, 0, 1, 0, 1, 0, 0, 1])
-PU3_P3_SERIES = PoincareSeries([1, 1, 1, 2, 2, 2, 1, 1, 1])
+PU3_SERIES = {2: PoincareSeries([1, 0, 0, 1, 0, 1, 0, 0, 1]),
+              3: PoincareSeries([1, 1, 1, 2, 2, 2, 1, 1, 1])}
 
-# seven diagram spaces, mod-2 series (printed) -------------------------------
+# seven diagram spaces, series (printed at p=2 only) -------------------------
 
-DIAGRAM_SERIES_P2 = {
+DIAGRAM_SERIES = {2: {
     0: [1, 0, 0, 1, 0, 1, 0, 0, 1],
     1: [1, 0, 2, 0, 2, 1, 1, 2, 0, 2, 0, 1],
     2: [1, 1, 1, 1, 2, 1, 4, 1, 2, 1, 1, 1, 1],
@@ -116,31 +126,31 @@ DIAGRAM_SERIES_P2 = {
     4: [1, 1, 1, 2, 2, 3, 3, 2, 3, 3, 2, 2, 1, 1, 1],
     5: [1, 1, 2, 2, 2, 3, 3, 3, 3, 2, 2, 2, 1, 1],
     6: [1, 1, 1, 2, 2, 3, 3, 2, 3, 3, 2, 2, 1, 1, 1],
-}
+}}
 
 # published higher-limit column lists ----------------------------------------
 
-E2_COLUMNS_P2 = {
-    "lim0": {0: 1, 4: 1, 5: 1, 6: 2},
-    "lim1": {3: 1, 5: 1, 7: 2, 8: 1, 11: 1, 12: 1, 13: 1},
-}
-E2_COLUMNS_P3 = {
-    "lim0": {0: 1, 4: 1, 5: 1, 6: 1},
-    "lim1": {3: 1, 5: 2, 6: 1, 7: 3, 8: 2, 9: 3, 10: 3, 11: 2, 12: 1},
+E2_COLUMNS = {
+    2: {"lim0": {0: 1, 4: 1, 5: 1, 6: 2},
+        "lim1": {3: 1, 5: 1, 7: 2, 8: 1, 11: 1, 12: 1, 13: 1}},
+    3: {"lim0": {0: 1, 4: 1, 5: 1, 6: 1},
+        "lim1": {3: 1, 5: 2, 6: 1, 7: 3, 8: 2, 9: 3, 10: 3, 11: 2, 12: 1}},
 }
 
-# the k = 0, 3, 4 cosimplicial shapes and outcomes worked in the source
-WORKED_SHAPES_P2 = {0: (7, 12, 6), 3: (9, 22, 12), 4: (11, 22, 12)}
-WORKED_LIMS_P2 = {0: (1, 0), 3: (0, 1), 4: (1, 0)}
+# the k = 0, 3, 4 cosimplicial shapes and outcomes worked in the source (p=2)
+WORKED_SHAPES = {2: {0: (7, 12, 6), 3: (9, 22, 12), 4: (11, 22, 12)}}
+WORKED_LIMS = {2: {0: (1, 0), 3: (0, 1), 4: (1, 0)}}
 
 # final answers ---------------------------------------------------------------
 
-ECOM_U3_MOD2 = [1, 0, 0, 0, 2, 1, 3, 0, 2, 1, 0, 0, 1, 1, 1]
-ECOM_U3_MOD3 = [1, 0, 0, 0, 2, 1, 3, 1, 3, 2, 3, 3, 2, 1, 0]
+ECOM_U3 = {2: [1, 0, 0, 0, 2, 1, 3, 0, 2, 1, 0, 0, 1, 1, 1],
+           3: [1, 0, 0, 0, 2, 1, 3, 1, 3, 2, 3, 3, 2, 1, 0]}
 RATIONAL_SERIES = PoincareSeries([1, 0, 0, 0, 1, 0, 2, 0, 1, 0, 0, 0, 1])
 
-# the mod-2 column entries that are incompatible with the printed series of
-# the seven spaces (Euler characteristic of the cosimplicial complex); the
-# bundled data realizes the forced values instead
-E2_COLUMNS_P2_FORCED_DEVIATIONS = {5: (1, 3), 10: (0, 2), 11: (1, 1)}
-ECOM_U3_MOD2_FORCED_DEVIATIONS = {6: 5, 11: 3}
+# recorded discrepancies, per prime: the mod-2 column entries that are
+# incompatible with the printed series of the seven spaces (Euler
+# characteristic of the cosimplicial complex), as (lim0, lim1) per fiber
+# degree, and the answer degrees they move; the bundled data realizes the
+# forced values instead.  Nothing is recorded at p=3.
+E2_COLUMNS_FORCED_DEVIATIONS = {2: {5: (1, 3), 10: (0, 2), 11: (1, 1)}, 3: {}}
+ECOM_U3_FORCED_DEVIATIONS = {2: {6: 5, 11: 3}, 3: {}}

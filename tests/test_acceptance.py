@@ -43,7 +43,7 @@ from ecomu3.diagram import load_bundled
 from ecomu3.diagonal import (TensorSquare, descent_basis, invariant_ring_presentation,
                              maj, rank_over_q)
 from ecomu3.koszul import pu3_cohomology, u3t2_cohomology
-from ecomu3.limits import cosimplicial_complex, higher_limits, lim2_vanishing_check, bk_assemble
+from ecomu3.limits import bk_assemble, cosimplicial_complex, higher_limits
 from ecomu3.linalg import IntMatrix, smith_normal_form
 from ecomu3.poset import PosetSn
 from ecomu3.resolution import group_cohomology
@@ -111,9 +111,9 @@ def test_criterion_2_flbar3(resolution, flbar3_reps):
     assert {(m.page, m.source, m.target) for m in specs3[0].moves} == \
         {(5, (2, 6), (7, 2)), (5, (3, 4), (8, 0))}
     g3 = assemble_total(run_to_e_infinity(page3, specs3[0]), 6, 6)
-    assert g3 == published.FLBAR3_P3
+    assert g3 == published.FLBAR3[3]
     assert series_from_graded(g3, 3).coefficients == \
-        published.FLBAR3_P3_SERIES.coefficients
+        published.FLBAR3_SERIES[3].coefficients
 
     page2 = serre_e2_over_bg(resolution, flbar3_reps, 2)
     specs2 = forced_differentials(page2, 6)
@@ -121,9 +121,9 @@ def test_criterion_2_flbar3(resolution, flbar3_reps):
     assert {(m.page, m.source, m.target) for m in specs2[0].moves} == \
         {(7, (1, 6), (8, 0))}
     g2 = assemble_total(run_to_e_infinity(page2, specs2[0]), 6, 6)
-    assert g2 == published.FLBAR3_P2
+    assert g2 == published.FLBAR3[2]
     assert series_from_graded(g2, 2).coefficients == \
-        published.FLBAR3_P2_SERIES.coefficients
+        published.FLBAR3_SERIES[2].coefficients
     ok("2 (unordered flag threefold: tables, series, unique differentials)")
 
 
@@ -131,21 +131,20 @@ def test_criterion_2_flbar3(resolution, flbar3_reps):
 
 
 def test_criterion_3_twisted_square(resolution, fl3xfl3_reps):
-    for p, table in ((3, published.FL3XFL3_P3), (2, published.FL3XFL3_P2)):
+    for p in (3, 2):
+        table, want_series, note = published.SERRE["fl3xfl3", p]
         page = serre_e2_over_bg(resolution, fl3xfl3_reps, p)
         specs = forced_differentials(page, 12)
         assert len(specs) == 1
         graded = assemble_total(run_to_e_infinity(page, specs[0]), 6, 12)
         assert graded == table
         series = series_from_graded(graded, p)
-        if p == 2:
-            assert series.coefficients == published.FL3XFL3_P2_SERIES.coefficients
-        else:
-            assert series.coefficients == published.FL3XFL3_P3_SERIES.coefficients
+        assert series.coefficients == want_series.coefficients
+        if p == 3:
             assert series.is_palindromic(12)
             # the printed series' duplicated degree-4 term is recorded,
             # not matched
-            assert published.FL3XFL3_P3_SERIES_PRINTED_NOTE
+            assert note
     ok("3 (twisted square: tables, both series, recorded series discrepancy)")
 
 
@@ -186,10 +185,10 @@ def diagram3():
 
 
 def test_criterion_5_shapes_and_worked_degrees(diagram2):
-    for k, want in published.WORKED_SHAPES_P2.items():
+    for k, want in published.WORKED_SHAPES[2].items():
         dims, _, _ = cosimplicial_complex(diagram2, k)
         assert dims == want
-    for k, want in published.WORKED_LIMS_P2.items():
+    for k, want in published.WORKED_LIMS[2].items():
         l0, l1, l2 = higher_limits(diagram2, k)
         assert (l0, l1) == want
     ok("5a (complex shapes and outcomes at the worked degrees)")
@@ -198,7 +197,6 @@ def test_criterion_5_shapes_and_worked_degrees(diagram2):
 def test_criterion_5_lim2_vanishes(diagram2, diagram3):
     for d in (diagram2, diagram3):
         for k in range(15):
-            assert lim2_vanishing_check(d, k)
             assert higher_limits(d, k)[2] == 0
     ok("5b (second derived limit vanishes, both primes, k <= 14)")
 
@@ -206,8 +204,10 @@ def test_criterion_5_lim2_vanishes(diagram2, diagram3):
 def test_criterion_5_mod3_columns(diagram3):
     for k in range(15):
         l0, l1, _ = higher_limits(diagram3, k)
-        assert l0 == published.E2_COLUMNS_P3["lim0"].get(k, 0), k
-        assert l1 == published.E2_COLUMNS_P3["lim1"].get(k, 0), k
+        assert l0 == published.E2_COLUMNS[3]["lim0"].get(k, 0), k
+        assert l1 == published.E2_COLUMNS[3]["lim1"].get(k, 0), k
+    # nothing is refuted at p=3, so nothing may be recorded
+    assert published.E2_COLUMNS_FORCED_DEVIATIONS[3] == {}
     ok("5c (odd-prime column lists, exact)")
 
 
@@ -221,7 +221,7 @@ def _mod2_euler_characteristic(k):
     poset = PosetSn(2)
 
     def dim(i):
-        series = published.DIAGRAM_SERIES_P2[i]
+        series = published.DIAGRAM_SERIES[2][i]
         return series[k] if 0 <= k < len(series) else 0
 
     return (sum(dim(i) for i in range(len(poset)))
@@ -236,7 +236,7 @@ def test_criterion_5_mod2_columns(diagram2, k):
     With lim^2 = 0 (criterion 5b), a published pair whose difference is not
     chi(k) is unattainable from the published series, whatever the maps.
     That happens at k = 5, 10, 11: chi = -2, -2, 0 against 0, 0, -1.  There
-    the computed pair must be the one in E2_COLUMNS_P2_FORCED_DEVIATIONS, and
+    the computed pair must be the one in E2_COLUMNS_FORCED_DEVIATIONS[2], and
     that registry must name exactly the refuted degrees.
 
     The identity fixes only the difference.  At k = 5 and 10 the computed
@@ -245,10 +245,10 @@ def test_criterion_5_mod2_columns(diagram2, k):
     the paper does not settle it; criterion 8e is the evidence that the
     split does not depend on the reconstructed maps.
     """
-    columns = published.E2_COLUMNS_P2
+    columns = published.E2_COLUMNS[2]
     pairs = {j: (columns["lim0"].get(j, 0), columns["lim1"].get(j, 0))
              for j in range(15)}
-    forced = published.E2_COLUMNS_P2_FORCED_DEVIATIONS
+    forced = published.E2_COLUMNS_FORCED_DEVIATIONS[2]
     refuted = {j for j, (a, b) in pairs.items()
                if a - b != _mod2_euler_characteristic(j)}
     assert set(forced) == refuted
@@ -272,7 +272,8 @@ def test_criterion_5_mod2_columns(diagram2, k):
 def test_criterion_6_mod3(diagram3):
     dims, _ = bk_assemble(diagram3)
     dims += [0] * (15 - len(dims))
-    assert dims == published.ECOM_U3_MOD3
+    assert dims == published.ECOM_U3[3]
+    assert published.ECOM_U3_FORCED_DEVIATIONS[3] == {}
     ok("6a (odd-prime table, exact)")
 
 
@@ -289,18 +290,18 @@ def test_criterion_6_mod2(diagram2, d):
     Since lim^0 and lim^1 are nonnegative with difference chi, H^n is at
     least max(0, chi(n)) + max(0, -chi(n-1)).  The published values in
     degrees 6 and 11 (3 and 0) fall below that bound (4 and 2).  There the
-    computed value must be the one in ECOM_U3_MOD2_FORCED_DEVIATIONS, and
+    computed value must be the one in ECOM_U3_FORCED_DEVIATIONS[2], and
     that registry must name exactly the degrees below the bound.
     """
-    forced = published.ECOM_U3_MOD2_FORCED_DEVIATIONS
+    forced = published.ECOM_U3_FORCED_DEVIATIONS[2]
     refuted = {n for n in range(15)
-               if published.ECOM_U3_MOD2[n] < _mod2_lower_bound(n)}
+               if published.ECOM_U3[2][n] < _mod2_lower_bound(n)}
     assert set(forced) == refuted
 
     dims, _ = bk_assemble(diagram2)
     dims += [0] * (15 - len(dims))
     bound = _mod2_lower_bound(d)
-    want = published.ECOM_U3_MOD2[d]
+    want = published.ECOM_U3[2][d]
     assert dims[d] >= bound, (d, dims[d], bound)
     if d in refuted:
         assert dims[d] == forced[d], (d, dims[d], forced[d])

@@ -19,11 +19,15 @@ def bench_pairs():
     return module
 
 
-def _run(side, pair, throughput, op_s, failed=0, workload="sweep"):
+SWEEP, REPRODUCE = "sweep, seed 7, call 0", "reproduce, seed 7, call 0"
+
+
+def _run(side, pair, throughput, op_s, failed=0, workload="sweep", seed=7,
+         call=0):
     metrics = {"throughput_per_s": {"value": throughput, "unit": "1/s"},
                "op_s_mid": {"value": op_s, "unit": "s"}}
-    return {"side": side, "workload": workload, "seed": 7, "pair": pair,
-            "last_line": {"correct": not failed, "attempted": 100,
+    return {"side": side, "workload": workload, "seed": seed, "call": call,
+            "pair": pair, "last_line": {"correct": not failed, "attempted": 100,
                           "failed": failed, "metrics": metrics}}
 
 
@@ -34,8 +38,8 @@ def test_summary_medians_quartiles_and_wins(bench_pairs):
             _run("parent", 3, 95, 0.010, failed=2), _run("change", 3, 125, 0.007),
             _run("parent", 0, 1.0, 3.0, workload="reproduce")]
     summary = bench_pairs.summarize(runs, SPEC)
-    assert set(summary) == {"reproduce", "sweep"}
-    sweep = summary["sweep"]
+    assert set(summary) == {REPRODUCE, SWEEP}
+    sweep = summary[SWEEP]
     assert sweep["failed_ops"] == {"parent": 2, "change": 0}
     tp = sweep["throughput_per_s"]
     # parent 95, 100, 105, 110 and change 90, 120, 125, 130, inclusive
@@ -47,7 +51,7 @@ def test_summary_medians_quartiles_and_wins(bench_pairs):
     # lower is better; the tie in pair 2 is no win
     assert sweep["op_s_mid"]["change_better_pairs"] == "2/4"
     # a side without runs has no entry, and an unpaired run no pair
-    reproduce = summary["reproduce"]["throughput_per_s"]
+    reproduce = summary[REPRODUCE]["throughput_per_s"]
     assert "change" not in reproduce and "ratio_of_medians" not in reproduce
     assert reproduce["change_better_pairs"] == "0/0"
     assert reproduce["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "n": 1}
@@ -70,20 +74,40 @@ def test_summary_flags_metrics_past_their_bound(bench_pairs):
             run("parent", 0, 100, 0.0100, "reproduce"),
             run("change", 0, 76, 0.0104, "reproduce")]  # both within the bound
     summary = bench_pairs.summarize(runs, spec)
-    assert summary["sweep"]["throughput_per_s"]["past_bound"] is True
-    assert summary["sweep"]["op_s_mid"]["past_bound"] is True
-    assert summary["reproduce"]["throughput_per_s"]["past_bound"] is False
-    assert summary["reproduce"]["op_s_mid"]["past_bound"] is False
+    assert summary[SWEEP]["throughput_per_s"]["past_bound"] is True
+    assert summary[SWEEP]["op_s_mid"]["past_bound"] is True
+    assert summary[REPRODUCE]["throughput_per_s"]["past_bound"] is False
+    assert summary[REPRODUCE]["op_s_mid"]["past_bound"] is False
     # a metric without a bound is not judged, however far it moves
-    assert "past_bound" not in summary["sweep"]["peak_rss_mb"]
+    assert "past_bound" not in summary[SWEEP]["peak_rss_mb"]
     lines = bench_pairs.past_bound_lines(summary)
-    assert lines == ["sweep throughput_per_s: ratio of medians 0.7400 is past "
-                     "its bound",
-                     "sweep op_s_mid: ratio of medians 1.0600 is past its bound"]
+    assert lines == [f"{SWEEP} throughput_per_s: ratio of medians 0.7400 is "
+                     "past its bound",
+                     f"{SWEEP} op_s_mid: ratio of medians 1.0600 is past its "
+                     "bound"]
+
+
+def test_two_seeds_keep_separate_quartiles(bench_pairs):
+    """Runs of one workload under two seeds, taken while the machine ran at
+    two speeds, are two groups: pooled, their quartiles would span both."""
+    runs = []
+    for seed, speed in ((1, 100), (2, 200)):
+        for pair in range(4):
+            runs += [_run("parent", pair, speed + pair, 0.01, seed=seed),
+                     _run("change", pair, speed + pair + 1, 0.01, seed=seed)]
+    summary = bench_pairs.summarize(runs, SPEC)
+    assert set(summary) == {"sweep, seed 1, call 0", "sweep, seed 2, call 0"}
+    slow = summary["sweep, seed 1, call 0"]["throughput_per_s"]
+    fast = summary["sweep, seed 2, call 0"]["throughput_per_s"]
+    assert slow["parent"] == {"median": 101.5, "q1": 100.75, "q3": 102.25, "n": 4}
+    assert fast["parent"] == {"median": 201.5, "q1": 200.75, "q3": 202.25, "n": 4}
+    assert slow["change_better_pairs"] == fast["change_better_pairs"] == "4/4"
 
 
 def test_a_second_call_with_the_same_seed_adds_pairs(bench_pairs, tmp_path,
                                                      monkeypatch):
+    """The second call's pairs are added to the file and summarised on their
+    own, apart from the first call's."""
     for side in ("parent", "change"):
         (tmp_path / side / "src").mkdir(parents=True)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
@@ -95,7 +119,12 @@ def test_a_second_call_with_the_same_seed_adds_pairs(bench_pairs, tmp_path,
             "--pairs", "2", "--label", "twice"]
     for _ in range(2):
         assert bench_pairs.main(argv) == 0
+        throughput = {"parent": 200, "change": 240}   # the machine sped up
     data = json.loads((tmp_path / "BENCH_twice.json").read_text())
-    assert [r["pair"] for r in data["runs"]] == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert [r["call"] for r in data["runs"]] == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert [r["pair"] for r in data["runs"]] == [0, 0, 1, 1, 0, 0, 1, 1]
     assert [r["side"] for r in data["runs"][4:6]] == ["parent", "change"]
-    assert data["summary"]["sweep"]["throughput_per_s"]["change_better_pairs"] == "4/4"
+    for call, parent in ((0, 100), (1, 200)):
+        row = data["summary"][f"sweep, seed 7, call {call}"]["throughput_per_s"]
+        assert row["change_better_pairs"] == "2/2"
+        assert row["parent"]["median"] == row["parent"]["q3"] == parent

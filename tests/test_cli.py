@@ -60,6 +60,7 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["serre", "SQUARE_IN_GROUP_ORDER", "--prime", "2"],
     ["holim", "limits", "--diagram", "DIAGRAM_PRIME_4"],
     ["holim", "validate", "--diagram", "DIAGRAM_WRONG_DIMS"],
+    ["holim", "validate", "--diagram", "DIAGRAM_ZERO_PIN"],
     ["ecom-u3", "--prime", "2", "--diagram", "BUNDLED_P3"],
     ["holim", "limits", "--prime", "2", "--diagram", "BUNDLED_P3"],
     ["holim", "limits", "--degree", "-1"],
@@ -85,9 +86,10 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
               "top_dimension": 6, "fiber": {"0": ["trivial"], "2": ["standard"],
                                             "4": ["standard"], "6": ["sign"]}}
-    prime4, wrong_dims = load_bundled(2).to_json(), load_bundled(2).to_json()
+    prime4, wrong_dims, zero_pin = (load_bundled(2).to_json() for _ in range(3))
     prime4["prime"] = 4
     wrong_dims["dims"]["6"] = [0] * len(wrong_dims["dims"]["6"])
+    zero_pin["constraints"][0]["pins"].append({"kind": "zero"})
     files = {
         "MALFORMED_JSON": '{"name": ',
         "EMPTY_OBJECT": "{}",
@@ -97,16 +99,19 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
         "SQUARE_IN_GROUP_ORDER": json.dumps({**flbar3, "group_order": 12}),
         "DIAGRAM_PRIME_4": json.dumps(prime4),
         "DIAGRAM_WRONG_DIMS": json.dumps(wrong_dims),
+        "DIAGRAM_ZERO_PIN": json.dumps(zero_pin),
         "BUNDLED_P3": json.dumps(load_bundled(3).to_json()),
     }
     for name, text in files.items():
         (tmp_path / f"{name.lower()}.json").write_text(text)
-    argv = [str(tmp_path / f"{a.lower()}.json") if a in files else a
-            for a in argv]
-    code, out, err = run(capsys, *argv)
+    paths = [str(tmp_path / f"{a.lower()}.json") if a in files else a
+             for a in argv]
+    code, out, err = run(capsys, *paths)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 300, err[:300]
+    if "DIAGRAM_ZERO_PIN" in argv:      # no pin kind "zero" is defined
+        assert err.endswith(": unknown pin 'zero'\n"), err
 
 
 @pytest.mark.parametrize("poly, normal_form", [
@@ -499,6 +504,17 @@ def test_ecom_mod2_reports_recorded_discrepancies(capsys):
         [1, 0, 0, 0, 2, 1, 5, 0, 2, 1, 0, 3, 1, 1, 1]
     notes = " ".join(data["notes"])
     assert "degree 6" in notes and "degree 11" in notes
+
+
+def test_ecom_reads_its_discrepancies_from_the_registry(monkeypatch, capsys):
+    """With no recorded discrepancy at p=2, the same answer is an unexpected
+    mismatch: the CLI allows only what ``published`` records."""
+    from ecomu3 import published
+    monkeypatch.setitem(published.ECOM_U3_FORCED_DEVIATIONS, 2, {})
+    code, out, err = run(capsys, "ecom-u3", "--prime", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error: unexpected mismatch with the published table: "
+                   "{6: 5, 11: 3}\n")
 
 
 def test_rational_ring(capsys):

@@ -73,8 +73,8 @@ def test_flbar3_forced_patterns(resolution, flbar3):
 
 
 def test_flbar3_answers(resolution, flbar3):
-    for p, table, series in [(3, published.FLBAR3_P3, published.FLBAR3_P3_SERIES),
-                             (2, published.FLBAR3_P2, published.FLBAR3_P2_SERIES)]:
+    for p in (3, 2):
+        table, series, _ = published.SERRE["flbar3", p]
         page = serre_e2_over_bg(resolution, flbar3, p)
         stable = run_to_e_infinity(page, solve_unique(page, 6))
         graded = assemble_total(stable, 6, 6)
@@ -105,8 +105,8 @@ def test_fl3xfl3_e2_entries(resolution, fl3xfl3):
 
 
 def test_fl3xfl3_unique_solutions_and_answers(resolution, fl3xfl3):
-    for p, table, series in [(3, published.FL3XFL3_P3, published.FL3XFL3_P3_SERIES),
-                             (2, published.FL3XFL3_P2, published.FL3XFL3_P2_SERIES)]:
+    for p in (3, 2):
+        table, series, _ = published.SERRE["fl3xfl3", p]
         page = serre_e2_over_bg(resolution, fl3xfl3, p)
         specs = forced_differentials(page, 12)
         assert len(specs) == 1, f"p={p}"
@@ -138,7 +138,7 @@ def test_prime_to_six_answers_are_rational(resolution, flbar3, fl3xfl3, p):
 def test_fl3xfl3_mod3_series_is_palindromic_not_printed(resolution):
     # the printed series duplicates its degree-4 coefficient; the derived
     # series is palindromic over the twelve-dimensional manifold
-    s = published.FL3XFL3_P3_SERIES
+    s = published.FL3XFL3_SERIES[3]
     assert s.is_palindromic(12)
     printed_with_typo = [1, 0, 0, 1, 8, 3, 4, 3, 0, 1, 0, 0, 1]
     assert list(s.coefficients) != printed_with_typo
@@ -219,7 +219,7 @@ def test_palindromic_series_for_closed_manifolds(resolution, flbar3, fl3xfl3):
         assert u3t2_cohomology(p)["series"].is_palindromic(7)
         assert pu3_cohomology(p)["series"].is_palindromic(8)
     # the mod-3 series of the unordered flag threefold is NOT palindromic
-    assert not published.FLBAR3_P3_SERIES.is_palindromic(6)
+    assert not published.FLBAR3_SERIES[3].is_palindromic(6)
 
 
 def test_transfer_bound_enforced():

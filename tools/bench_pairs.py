@@ -15,13 +15,15 @@ set-up processes would read whatever bytecode cache an earlier run left, and
 
 The result goes to ``BENCH_<label>.json`` in the current directory: the
 environment, each side's commit and a digest of its ``src/`` tree, every
-run's last JSON line, and per workload and end-to-end metric each side's
-median and quartiles, the pairs the change wins (by the metric's
-``better`` direction in the change's ``BENCHMARK.json``) and the ratio of
-the medians, with ``past_bound`` true where that ratio is worse than the
-metric's ``bound`` (each such metric is also printed).  If the file exists
-for the same two trees, the new runs are added to it, so one file can hold
-several workloads and several calls per workload.
+run's last JSON line with the call (run of this script) that made it, and
+per workload, seed and call and per end-to-end metric each side's median
+and quartiles, the pairs the change wins (by the metric's ``better``
+direction in the change's ``BENCHMARK.json``) and the ratio of the medians,
+with ``past_bound`` true where that ratio is worse than the metric's
+``bound`` (each such metric is also printed).  If the file exists for the
+same two trees, the new runs are added to it as a new call, so one file can
+hold several workloads and several calls per workload; each call is
+summarised on its own, as two calls may find the machine in two states.
 """
 
 from __future__ import annotations
@@ -47,17 +49,24 @@ def quartiles(values):
     return q1, median, q3
 
 
+def group_name(workload, seed, call):
+    return f"{workload}, seed {seed}, call {call}"
+
+
 def summarize(runs, spec):
-    """Per workload and end-to-end metric: each side's median and quartiles,
-    and the pairs in which the change is better.  ``runs`` are dicts with
-    ``side``, ``workload``, ``seed``, ``pair`` and ``last_line``."""
+    """Per workload, seed and call, and per end-to-end metric: each side's
+    median and quartiles, and the pairs in which the change is better.
+    ``runs`` are dicts with ``side``, ``workload``, ``seed``, ``call``,
+    ``pair`` and ``last_line``; the result is keyed by :func:`group_name`."""
+    groups = {}
+    for r in runs:
+        groups.setdefault((r["workload"], r["seed"], r["call"]), []).append(r)
     out = {}
-    for workload in sorted({r["workload"] for r in runs}):
-        mine = [r for r in runs if r["workload"] == workload]
+    for key, mine in sorted(groups.items()):
         by_pair = {}
         for r in mine:
-            by_pair.setdefault((r["seed"], r["pair"]), {})[r["side"]] = r
-        summary = out[workload] = {
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
+        summary = out[group_name(*key)] = {
             "failed_ops": {side: sum(r["last_line"]["failed"] for r in mine
                                      if r["side"] == side) for side in SIDES}}
         for metric in spec["end_to_end"]:
@@ -86,11 +95,11 @@ def summarize(runs, spec):
 
 
 def past_bound_lines(summary):
-    """One line per workload and end-to-end metric whose ratio of medians is
+    """One line per group and end-to-end metric whose ratio of medians is
     worse than its bound."""
-    return [f"{workload} {name}: ratio of medians {row['ratio_of_medians']:.4f} "
+    return [f"{group} {name}: ratio of medians {row['ratio_of_medians']:.4f} "
             "is past its bound"
-            for workload, metrics in sorted(summary.items())
+            for group, metrics in sorted(summary.items())
             for name, row in metrics.items()
             if row.get("past_bound")]
 
@@ -165,17 +174,13 @@ def main(argv=None):
                    "cpu_count": os.cpu_count(),
                    "PYTHONDONTWRITEBYTECODE": "1"}
     data["order"] = "even pairs run the parent first, odd pairs the change"
-    # pairs are numbered on from those the file already holds for this
-    # workload and seed, so a second call with the same seed adds pairs
-    first = 1 + max((r["pair"] for r in data["runs"]
-                     if (r["workload"], r["seed"]) == (args.workload, args.seed)),
-                    default=-1)
-    for pair in range(first, first + args.pairs):
+    call = 1 + max((r["call"] for r in data["runs"]), default=-1)
+    for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             line = run_once(roots[side], args)
             data["runs"].append({"side": side, "workload": args.workload,
-                                 "seed": args.seed, "pair": pair,
+                                 "seed": args.seed, "call": call, "pair": pair,
                                  "last_line": line})
             metric = line["metrics"].get("throughput_per_s", {}).get("value")
             print(f"pair {pair} {side}: throughput_per_s {metric}, "
@@ -183,7 +188,8 @@ def main(argv=None):
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     data["summary"] = summarize(data["runs"], spec)
     out_path.write_text(json.dumps(data, indent=1) + "\n")
-    print(json.dumps(data["summary"][args.workload], indent=1))
+    print(json.dumps(data["summary"][group_name(args.workload, args.seed,
+                                                 call)], indent=1))
     for line in past_bound_lines(data["summary"]):
         print(f"PAST BOUND: {line}", file=sys.stderr)
     return 0

@@ -1,15 +1,17 @@
 """Reconstruct the bundled poset-diagram data files.
 
-The graded dimensions of the seven spaces are fixed inputs (see DIMS_P2 /
-DIMS_P3 below); the per-degree matrices of the diagram are reconstructed
-here subject to the documented constraints:
+The graded dimensions of the seven spaces are fixed inputs (the printed
+mod-2 series in ``ecomu3.published`` and DIMS_P3 below); the per-degree
+matrices of the diagram are reconstructed here subject to the documented
+constraints:
 
 - (0,2) -> (0,1,2) is the identity in every degree,
 - degree-0 maps are all the unit map,
 - the two pinned facts at p=2 (injectivity of four maps in degree 3, the
   first-coordinate projection in degree 4),
 - functoriality (long maps are composites, both routes agree),
-- the per-degree kernel of the compatibility system equals the target lim^0.
+- the per-degree kernel of the compatibility system equals the target lim^0
+  (see lim0_targets).
 
 The search is seeded and deterministic; rerunning this script reproduces the
 bundled files bit for bit.
@@ -24,23 +26,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from ecomu3 import published
 from ecomu3.matrix import (EchelonBasis, IntMatrix, modp_kernel_basis,
                            modp_rank, modp_solve)
 from ecomu3.diagram import PosetDiagram
 from ecomu3.limits import bk_assemble, hexagon_kernel_dim
 
 MAXDEG = 14
-
-# mod-2 Poincare series of the seven diagram spaces (printed data)
-DIMS_P2 = {
-    0: [1, 0, 0, 1, 0, 1, 0, 0, 1],
-    1: [1, 0, 2, 0, 2, 1, 1, 2, 0, 2, 0, 1],
-    2: [1, 1, 1, 1, 2, 1, 4, 1, 2, 1, 1, 1, 1],
-    3: [1, 0, 1, 1, 1, 2, 0, 2, 1, 1, 1, 0, 1],
-    4: [1, 1, 1, 2, 2, 3, 3, 2, 3, 3, 2, 2, 1, 1, 1],
-    5: [1, 1, 2, 2, 2, 3, 3, 3, 3, 2, 2, 2, 1, 1],
-    6: [1, 1, 1, 2, 2, 3, 3, 2, 3, 3, 2, 2, 1, 1, 1],
-}
 
 # mod-3 series: derived (products of derived factor series; the twisted
 # product space from the Euler-characteristic constraints of the column lists)
@@ -54,22 +46,40 @@ DIMS_P3 = {
     6: [1, 1, 1, 3, 5, 6, 6, 8, 9, 7, 5, 4, 3, 1],
 }
 
-# target lim^0 per fiber degree.  p=3 follows the published column lists; at
-# p=2 the three starred degrees are forced away from the published values by
-# the Euler characteristic of the complex (see the decisions ledger).
-L0_P2 = {0: 1, 4: 1, 5: 1, 6: 2, 11: 1}          # k=11 starred
-L0_P3 = {0: 1, 4: 1, 5: 1, 6: 1}
+
+def lim0_targets(p):
+    """Target lim^0 per fiber degree: the published column list, with the
+    lim^0 of each recorded forced deviation in its place (at p=2 the Euler
+    characteristic of the complex forces those degrees away from the
+    published values)."""
+    targets = dict(published.E2_COLUMNS[p]["lim0"])
+    targets.update((k, l0) for k, (l0, _) in
+                   published.E2_COLUMNS_FORCED_DEVIATIONS[p].items())
+    return targets
+
+
+def discrepancy_note(p):
+    """The recorded-discrepancy note, from the registries in ``published``."""
+    columns = published.E2_COLUMNS[p]
+    forced = published.E2_COLUMNS_FORCED_DEVIATIONS[p]
+    return (
+        "recorded discrepancy: with these dims the Euler characteristic of the "
+        "cosimplicial complex forces (lim0,lim1) = "
+        + ", ".join(f"({l0},{l1}) at k={k}" for k, (l0, l1) in forced.items())
+        + ", differing from the published column lists "
+        + ", ".join(f"({columns['lim0'].get(k, 0)},{columns['lim1'].get(k, 0)})"
+                    for k in forced)
+        + "; the assembled table consequently differs from the published "
+        f"mod-{p} answer in degrees "
+        + " and ".join(map(str, published.ECOM_U3_FORCED_DEVIATIONS[p])))
+
 
 NOTES_P2 = [
     "dims: printed mod-2 series of the seven spaces, verbatim [PAPER]",
     "maps: reconstructed [DERIVED]; pins: identity (0,2)->(0,1,2), unit maps "
     "in degree 0, injectivity of (0)->(0,1),(0)->(0,2),(2)->(0,2),(2)->(1,2) "
     "in degree 3, first-coordinate projection (1)->(0,1) in degree 4",
-    "recorded discrepancy: with these dims the Euler characteristic of the "
-    "cosimplicial complex forces (lim0,lim1) = (1,3) at k=5, (0,2) at k=10, "
-    "(1,1) at k=11, differing from the published column lists (1,1), (0,0), "
-    "(0,1); the assembled table consequently differs from the published "
-    "mod-2 answer in degrees 6 and 11",
+    discrepancy_note(2),
 ]
 NOTES_P3 = [
     "dims: [DERIVED] mod-3 series; factors from the transgression engine "
@@ -259,12 +269,13 @@ ARROWS = {"03": (0, 3), "13": (1, 3), "04": (0, 4), "24": (2, 4),
 LONG = {"06": ((0, 3), (3, 6)), "16": ((1, 3), (3, 6)), "26": ((2, 4), (4, 6))}
 
 
-def build_diagram(p, dims, l0_targets, notes):
+def build_diagram(p, dims, notes):
     maps = {key: {} for key in list(ARROWS.values()) + [(0, 6), (1, 6), (2, 6)]}
     constraints = {}
+    targets = lim0_targets(p)
     for k in range(MAXDEG + 1):
         rng = random.Random(90_000 + 1000 * p + k)
-        mats = build_degree(p, k, dims, l0_targets.get(k, 0), rng)
+        mats = build_degree(p, k, dims, targets.get(k, 0), rng)
         for name, (a, b) in ARROWS.items():
             maps[(a, b)][k] = mats[name]
         for name, ((a, b), (b2, c)) in LONG.items():
@@ -293,9 +304,9 @@ def build_diagram(p, dims, l0_targets, notes):
 
 
 def main(outdir):
-    for p, dims, l0, notes in [(2, DIMS_P2, L0_P2, NOTES_P2),
-                               (3, DIMS_P3, L0_P3, NOTES_P3)]:
-        diagram = build_diagram(p, dims, l0, notes)
+    for p, dims, notes in [(2, published.DIAGRAM_SERIES[2], NOTES_P2),
+                           (3, DIMS_P3, NOTES_P3)]:
+        diagram = build_diagram(p, dims, notes)
         dims_out, lims = bk_assemble(diagram)
         print(f"p={p}: H* dims = {dims_out}")
         for k in sorted(lims):
