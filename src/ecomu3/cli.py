@@ -16,7 +16,8 @@ engines::
 Global flag: --format json|text, before or after the subcommand; --prime
 and --max-degree where meaningful.  Nothing is written to disk: every
 subcommand that needs the free resolution builds and verifies it.  The
-argument parser and the module catalog are built once per process.
+argument parser and the module catalog are built once per process, and a
+diagram file is parsed and validated once per distinct text.
 
 This module imports only the standard library and :mod:`ecomu3.report`;
 each handler imports the engines it runs, and an engine imports at module
@@ -346,21 +347,9 @@ def cmd_holim(args, report):
 
 def _validated_diagram(args, report):
     """The ``--diagram`` file, or the bundled diagram of ``--prime`` (2 if
-    not given), after :meth:`PosetDiagram.validate`."""
-    from .diagram import ConstraintViolation, FunctorialityViolation, PosetDiagram
-    from .matrix import is_prime
+    not given), read on every call and validated by :func:`_diagram_of_text`."""
     if args.diagram:
-        text = _read_file(args.diagram, "diagram")
-        report.add_input_hash(args.diagram, text)
-        try:
-            diagram = PosetDiagram.from_json(_parse_json(text, "diagram"))
-        except ValueError as exc:   # a wrong shape or a non-integer entry
-            raise CommandError(f"bad diagram: {exc}")
-        if not is_prime(diagram.prime):
-            raise CommandError(f"bad diagram: prime {diagram.prime} is not prime")
-        if args.prime not in (None, diagram.prime):
-            raise CommandError(f"--prime {args.prime} differs from the "
-                               f"diagram's prime {diagram.prime}")
+        name, text = args.diagram, _read_file(args.diagram, "diagram")
     else:
         prime = 2 if args.prime is None else args.prime
         name = f"diagram_p{prime}.json"
@@ -369,8 +358,28 @@ def _validated_diagram(args, report):
         except FileNotFoundError:
             raise CommandError(f"no bundled diagram for --prime {prime} "
                                "(bundled: 2, 3)")
-        report.add_input_hash(name, text)
-        diagram = PosetDiagram.from_json(json.loads(text))
+    report.add_input_hash(name, text)
+    diagram = _diagram_of_text(text)
+    if args.diagram and args.prime not in (None, diagram.prime):
+        raise CommandError(f"--prime {args.prime} differs from the "
+                           f"diagram's prime {diagram.prime}")
+    return diagram
+
+
+@lru_cache(maxsize=3)       # both bundled files and one user file
+def _diagram_of_text(text):
+    """The diagram a file's text describes, after :meth:`PosetDiagram.validate`.
+
+    Keyed on the text, so a changed file is validated again; an error is not
+    cached but raised again.  Callers only read the diagram it returns."""
+    from .diagram import ConstraintViolation, FunctorialityViolation, PosetDiagram
+    from .matrix import is_prime
+    try:
+        diagram = PosetDiagram.from_json(_parse_json(text, "diagram"))
+    except ValueError as exc:   # a wrong shape or a non-integer entry
+        raise CommandError(f"bad diagram: {exc}")
+    if not is_prime(diagram.prime):
+        raise CommandError(f"bad diagram: prime {diagram.prime} is not prime")
     try:
         diagram.validate()
     except (FunctorialityViolation, ConstraintViolation) as exc:

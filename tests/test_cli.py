@@ -63,6 +63,8 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["holim", "validate", "--diagram", "DIAGRAM_ZERO_PIN"],
     ["ecom-u3", "--prime", "2", "--diagram", "BUNDLED_P3"],
     ["holim", "limits", "--prime", "2", "--diagram", "BUNDLED_P3"],
+    # a file that fails validation and disagrees with --prime
+    ["holim", "limits", "--prime", "3", "--diagram", "DIAGRAM_WRONG_DIMS"],
     ["holim", "limits", "--degree", "-1"],
     ["holim", "e2", "--diagram", "nul\x00.json"],
     ["serre", "nul\x00", "--prime", "2"],
@@ -493,6 +495,76 @@ def test_diagram_file_sets_the_prime(tmp_path, capsys):
                              "--diagram", str(path))
         assert (code, out) == (1, "")
         assert err == "error: --prime 2 differs from the diagram's prime 3\n"
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The diagrams validated from here on, with the CLI's diagram cache
+    emptied first."""
+    from ecomu3.cli import _diagram_of_text
+    from ecomu3.diagram import PosetDiagram
+    _diagram_of_text.cache_clear()
+    validated = []
+    original = PosetDiagram.validate
+
+    def counting(self):
+        validated.append(self.prime)
+        return original(self)
+
+    monkeypatch.setattr(PosetDiagram, "validate", counting)
+    return validated
+
+
+def test_repeated_calls_validate_the_diagram_once(validations, capsys):
+    argv = ["--format", "json", "holim", "limits", "--prime", "3"]
+    code, first, _ = run(capsys, *argv)
+    code2, second, _ = run(capsys, *argv)
+    assert code == code2 == 0
+    assert validations == [3]
+    assert scrub_timings(first) == scrub_timings(second)
+
+
+def test_rewritten_diagram_file_is_validated_again(validations, tmp_path,
+                                                   capsys):
+    path = tmp_path / "diagram.json"
+    data = load_bundled(2).to_json()
+    path.write_text(json.dumps(data))
+    argv = ["holim", "limits", "--diagram", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    entry = next(e for e in data["maps"] if (e["from"], e["to"]) == (0, 3))
+    entry["degrees"] = {k: [[0] * len(row) for row in m]
+                        for k, m in entry["degrees"].items()}
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == cli_process(argv)
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert validations == [2, 2]
+
+
+def test_bad_diagram_fails_on_every_call(validations, tmp_path, capsys):
+    data = load_bundled(2).to_json()
+    data["dims"]["6"] = [0] * len(data["dims"]["6"])
+    path = tmp_path / "wrong_dims.json"
+    path.write_text(json.dumps(data))
+    argv = ["holim", "validate", "--diagram", str(path)]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second
+    code, out, err = first
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert validations == [2, 2]
+
+
+def test_prime_disagreement_is_refused_with_the_diagram_cached(
+        validations, tmp_path, capsys):
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(load_bundled(3).to_json()))
+    assert run(capsys, "holim", "limits", "--diagram", str(path))[0] == 0
+    for command in (["holim", "limits"], ["ecom-u3"]):
+        code, out, err = run(capsys, *command, "--prime", "2",
+                             "--diagram", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: --prime 2 differs from the diagram's prime 3\n"
+    assert validations == [3]
 
 
 def test_ecom_mod2_reports_recorded_discrepancies(capsys):

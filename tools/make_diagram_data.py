@@ -7,8 +7,7 @@ constraints:
 
 - (0,2) -> (0,1,2) is the identity in every degree,
 - degree-0 maps are all the unit map,
-- the two pinned facts at p=2 (injectivity of four maps in degree 3, the
-  first-coordinate projection in degree 4),
+- the published pins in ``PINS``,
 - functoriality (long maps are composites, both routes agree),
 - the per-degree kernel of the compatibility system equals the target lim^0
   (see lim0_targets).
@@ -31,8 +30,19 @@ from ecomu3.matrix import (EchelonBasis, IntMatrix, modp_kernel_basis,
                            modp_rank, modp_solve)
 from ecomu3.diagram import PosetDiagram
 from ecomu3.limits import bk_assemble, hexagon_kernel_dim
+from ecomu3.poset import PosetSn
 
 MAXDEG = 14
+
+# the published pins, per prime: (from, to, degree) -> pin kind; the search,
+# the constraint records and the mod-2 note all read this table
+PINS = {
+    2: {**{(a, b, 3): "injective" for a, b in [(0, 3), (0, 4), (2, 4), (2, 5)]},
+        (1, 3, 4): "first_coordinate_projection"},
+    3: {},
+}
+PIN_PHRASES = {"injective": "injectivity of {}",
+               "first_coordinate_projection": "first-coordinate projection {}"}
 
 # mod-3 series: derived (products of derived factor series; the twisted
 # product space from the Euler-characteristic constraints of the column lists)
@@ -74,11 +84,20 @@ def discrepancy_note(p):
         + " and ".join(map(str, published.ECOM_U3_FORCED_DEVIATIONS[p])))
 
 
+def pins_note(p):
+    """The published pins of ``PINS[p]``, one phrase per kind and degree."""
+    label = PosetSn(2).label
+    arrows = {}
+    for (a, b, k), kind in PINS[p].items():
+        arrows.setdefault((kind, k), []).append(f"{label(a)}->{label(b)}")
+    return ", ".join(PIN_PHRASES[kind].format(",".join(names)) + f" in degree {k}"
+                     for (kind, k), names in arrows.items())
+
+
 NOTES_P2 = [
     "dims: printed mod-2 series of the seven spaces, verbatim [PAPER]",
     "maps: reconstructed [DERIVED]; pins: identity (0,2)->(0,1,2), unit maps "
-    "in degree 0, injectivity of (0)->(0,1),(0)->(0,2),(2)->(0,2),(2)->(1,2) "
-    "in degree 3, first-coordinate projection (1)->(0,1) in degree 4",
+    "in degree 0, " + pins_note(2),
     discrepancy_note(2),
 ]
 NOTES_P3 = [
@@ -168,8 +187,10 @@ def build_degree(p, k, dims, target_l0, rng, tries=40000):
 
     a1 = unit_inclusion(dv3, dv0)
     a3 = unit_inclusion(dv4, dv0)
-    pin_first_coord = (p == 2 and k == 4)
-    pin_injective = (p == 2 and k == 3)
+    pinned = {(a, b): kind for (a, b, d), kind in PINS[p].items() if d == k}
+    pin_first_coord = pinned.get((1, 3)) == "first_coordinate_projection"
+    # (2,5) is drawn injective; (0,3) and (0,4) are unit inclusions
+    pin_injective = pinned.get((2, 5)) == "injective"
     nb = dv3 - dv0     # rows of the lower block of A2
     assert nb >= 0
 
@@ -188,7 +209,8 @@ def build_degree(p, k, dims, target_l0, rng, tries=40000):
                          rank=dv2 if pin_injective else rng.randint(0, min(dv5, dv2))
                          if min(dv5, dv2) else 0)
         a4 = _mul(b3, a6, p)
-        if pin_injective and (modp_rank(a4, p) != dv2 or modp_rank(a6, p) != dv2):
+        if any(pinned.get(ab) == "injective" and modp_rank(m, p) != m.cols
+               for ab, m in (((2, 4), a4), ((2, 5), a6))):
             continue
         # A5: random, then corrected so that ker A2b lands inside ker B3
         a5 = rand_matrix(rng, dv5, dv1, p)
@@ -287,11 +309,8 @@ def build_diagram(p, dims, notes):
             if k == 0:
                 pins.append({"kind": "unit"})
             constraints[(a, b, k)] = pins
-    # published pins
-    if p == 2:
-        for (a, b) in [(0, 3), (0, 4), (2, 4), (2, 5)]:
-            constraints[(a, b, 3)].append({"kind": "injective"})
-        constraints[(1, 3, 4)].append({"kind": "first_coordinate_projection"})
+    for key, kind in PINS[p].items():
+        constraints[key].append({"kind": kind})
     for k in range(MAXDEG + 1):
         constraints.setdefault((4, 6, k), []).append({"kind": "identity"})
     dims_padded = {i: dims[i] + [0] * (MAXDEG + 1 - len(dims[i])) for i in dims}
