@@ -63,8 +63,6 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["holim", "validate", "--diagram", "DIAGRAM_ZERO_PIN"],
     ["ecom-u3", "--prime", "2", "--diagram", "BUNDLED_P3"],
     ["holim", "limits", "--prime", "2", "--diagram", "BUNDLED_P3"],
-    # a file that fails validation and disagrees with --prime
-    ["holim", "limits", "--prime", "3", "--diagram", "DIAGRAM_WRONG_DIMS"],
     ["holim", "limits", "--degree", "-1"],
     ["holim", "e2", "--diagram", "nul\x00.json"],
     ["serre", "nul\x00", "--prime", "2"],
@@ -83,6 +81,8 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["flag", "nf", "x1 $" + "9" * 4000],
     ["flag", "nf", "x" + "9" * 4000],
     ["flag", "nf", "9" * 4000 + "/0"],
+    # a file that fails validation and disagrees with --prime
+    ["holim", "limits", "--prime", "3", "--diagram", "DIAGRAM_WRONG_DIMS"],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
