@@ -25,6 +25,8 @@ from .diagonal import RingPresentation
 from .matrix import EchelonBasis, modp_rref
 from .polynomial import monomials_of_degree, poly_mul
 
+TOP = 16    # the last degree of every series reported
+
 
 def whitney_chern(weights):
     """Chern classes c_1..c_m of a sum of line bundles with given weights.
@@ -234,7 +236,7 @@ def format_poly(poly, names):
     return " + ".join(terms)
 
 
-def transgressive_quotient(weights, p, top=16):
+def transgressive_quotient(weights, p):
     """Run the transgression bookkeeping and return the full analysis.
 
     Returns a dict with the presentation, its Poincare series, the oracle
@@ -273,10 +275,10 @@ def transgressive_quotient(weights, p, top=16):
     series = PoincareSeries([1])
     for d in survivors:
         series = series * PoincareSeries([1] + [0] * (d - 1) + [1])
-    series = series * ring.hilbert_series(top)
-    series = PoincareSeries(series.coefficients[:top + 1])
+    series = series * ring.hilbert_series(TOP)
+    series = PoincareSeries(series.coefficients[:TOP + 1])
 
-    oracle = koszul_homology_series(cherns, k, p, top)
+    oracle = koszul_homology_series(cherns, k, p, TOP)
     if series.coefficients != oracle.coefficients:
         raise AssertionError(
             f"transgression bookkeeping ({series}) disagrees with the Koszul "
@@ -289,13 +291,13 @@ U3T2_WEIGHTS = [[1, 0], [1, 0], [0, 1]]
 PU3_WEIGHTS = [[1], [1], [1]]
 
 
-def u3t2_cohomology(p, top=16):
+def u3t2_cohomology(p):
     """Mod-p cohomology of the quotient of U(3) by the blockwise 2-torus."""
     if p not in (2, 3):
         raise ValueError("this bundle is bundled for p = 2 and 3")
-    return transgressive_quotient(U3T2_WEIGHTS, p, top)
+    return transgressive_quotient(U3T2_WEIGHTS, p)
 
 
-def pu3_cohomology(p, top=16):
+def pu3_cohomology(p):
     """Mod-p cohomology of the projective unitary group PU(3)."""
-    return transgressive_quotient(PU3_WEIGHTS, p, top)
+    return transgressive_quotient(PU3_WEIGHTS, p)

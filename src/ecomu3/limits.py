@@ -228,22 +228,21 @@ def higher_limits(diagram, k):
     return lim0, lim0 + lim2 - (n0 - n1 + n2), lim2
 
 
-def bk_assemble(diagram, top_degree=None):
+def bk_assemble(diagram):
     """Graded F_p dimensions of the homotopy colimit's cohomology.
 
     Checks lim^2 = 0 in every fiber degree first; the spectral sequence then
     has only two nonzero columns, collapses, and H^n is lim^0 in degree n
     plus lim^1 in degree n - 1.
     """
-    kmax = diagram.max_degree if top_degree is None else top_degree
     lims = {}
-    for k in range(kmax + 1):
+    for k in range(diagram.max_degree + 1):
         l0, l1, l2 = higher_limits(diagram, k)
         if l2 != 0:
             raise NonVanishingLim2(k, l2)
         lims[k] = (l0, l1)
     dims = []
-    for n in range(kmax + 2):
+    for n in range(diagram.max_degree + 2):
         l0 = lims.get(n, (0, 0))[0]
         l1 = lims.get(n - 1, (0, 0))[1]
         dims.append(l0 + l1)

@@ -142,15 +142,6 @@ class IntMatrix:
                          [self.entries[i * self.cols + j]
                           for j in range(self.cols) for i in range(self.rows)])
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ShapeMismatch("row counts differ")
-        data = []
-        for i in range(self.rows):
-            data.extend(self.row(i))
-            data.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, data)
-
     def is_zero(self):
         return all(e == 0 for e in self.entries)
 

@@ -337,13 +337,12 @@ def check_block(diagram, arrow, degree, rng_seed=0):
             "stable": stable}
 
 
-def sweep(diagram, degrees=None, rng_seed=0):
+def sweep(diagram):
     """Run check_block over every under-determined lower block."""
     out = {}
-    degrees = range(diagram.max_degree + 1) if degrees is None else degrees
     for arrow in LOWER_ARROWS:
-        for k in degrees:
-            result = check_block(diagram, arrow, k, rng_seed=rng_seed)
+        for k in range(diagram.max_degree + 1):
+            result = check_block(diagram, arrow, k)
             if result is not None and result["variants"] > 1:
                 out[(arrow, k)] = result
     return out

@@ -20,15 +20,29 @@ target dimension die.  Assignments are built from:
 
 Differentials run d_r : (c, q) -> (c + r, q - r + 1) for 2 <= r <= 7; longer
 differentials out of total degree <= 14 would leave the window anyway.
+
+One function, ``_apply``, checks a move's capacities, for the search and for
+:func:`run_to_e_infinity` alike.  A slot that must die is pruned against a
+table of the last page on which any candidate move touches it.
+
+Four module constants fix the engine: ``WINDOW`` (16, the total degrees a
+page stores), ``MAX_PAGE`` (7, the longest differential), ``MAX_SOLUTIONS``
+(6; the search stops once it holds one more assignment, enough to report
+ambiguity) and ``NODE_BUDGET`` (500,000 search nodes, each entry into a page
+or into a move's rank choice counting one).  The bundled searches take 16
+(``flbar3`` mod 2), 22 (``flbar3`` mod 3), 34 (``fl3xfl3`` mod 2) and 848
+(``fl3xfl3`` mod 3) nodes.
 """
 
 from __future__ import annotations
 
-from .abelian import AbelianGroup, FrozenRecord, mod_p_series
+from .abelian import AbelianGroup, FrozenRecord
 from .resolution import group_cohomology_dims_modp, group_cohomology_table
 
-DEFAULT_WINDOW = 16
-DEFAULT_MAX_PAGE = 7
+WINDOW = 16            # total degrees stored on a page
+MAX_PAGE = 7           # the longest differential searched
+MAX_SOLUTIONS = 6      # the search stops once it holds one more than this
+NODE_BUDGET = 500_000  # search nodes before SearchBudget
 
 
 class NoSolution(RuntimeError):
@@ -52,8 +66,8 @@ class SearchBudget(RuntimeError):
 class Move(FrozenRecord):
     """One differential move of a fixed rank on a fixed page.
 
-    Periodic moves act on every source column >= ``col`` congruent to it
-    modulo the page period; single moves act on that column only.  ``kind``
+    Periodic moves act on every source column >= ``source[0]`` congruent to
+    it modulo the page period; single moves act on that column only.  ``kind``
     is "torsion" or "free" depending on which part of the source maps.
     ``source`` is (c, q) and ``target`` is (c + page, q - page + 1).
     """
@@ -66,17 +80,10 @@ class Move(FrozenRecord):
             object.__setattr__(self, name, value)
 
     def describe(self, period=None):
-        c, q = self.source
-        tc, tq = self.target
-        if self.periodic and period:
-            i = f"{period}i+" if period else ""
-            src = f"({i}{c},{q})"
-            tgt = f"({i}{tc},{tq})"
-        else:
-            src = f"({c},{q})"
-            tgt = f"({tc},{tq})"
+        (c, q), (tc, tq) = self.source, self.target
+        i = f"{period}i+" if self.periodic and period else ""
         tag = " from free part" if self.kind == "free" else ""
-        return f"d{self.page}: {src} -> {tgt} rank {self.rank}{tag}"
+        return f"d{self.page}: ({i}{c},{q}) -> ({i}{tc},{tq}) rank {self.rank}{tag}"
 
 
 class DifferentialSpec:
@@ -97,8 +104,7 @@ class DifferentialSpec:
 class BigradedPage:
     """One page of the spectral sequence, windowed at a total degree bound."""
 
-    def __init__(self, prime, page_index, period, window, row_templates,
-                 provenance=None):
+    def __init__(self, prime, page_index, period, window, row_templates):
         # row_templates: {q: callable or list giving (free, tors) per column}
         self.prime = prime
         self.page_index = page_index
@@ -114,19 +120,14 @@ class BigradedPage:
                     cols[c] = [free, tors]
             if cols:
                 self.rows[q] = cols
-        self.provenance = provenance or {}
 
     def entry(self, c, q):
         return tuple(self.rows.get(q, {}).get(c, (0, 0)))
 
     def tors_beyond_window(self, c, q):
         """Torsion count at any column, via the periodic template."""
-        if q not in self._templates:
-            return 0
-        if c <= 0:
-            return self.entry(c, q)[1]
-        template = self._templates[q]
-        return template(c)[1]
+        template = self._templates.get(q)
+        return template(c)[1] if template else 0
 
     def slots(self):
         for q, cols in sorted(self.rows.items()):
@@ -142,7 +143,6 @@ class BigradedPage:
         clone._templates = self._templates
         clone.rows = {q: {c: list(e) for c, e in cols.items()}
                       for q, cols in self.rows.items()}
-        clone.provenance = dict(self.provenance)
         return clone
 
     def to_json(self):
@@ -155,7 +155,7 @@ class BigradedPage:
         }
 
 
-def cohomology_row(resolution, module, prime, mod_p, window, period):
+def cohomology_row(resolution, module, prime, mod_p, period):
     """(free, tors) per column for one fiber summand, with a verified period.
 
     Columns beyond the directly computed range are extended by the verified
@@ -183,17 +183,13 @@ def cohomology_row(resolution, module, prime, mod_p, window, period):
                 f"period {period} fails at column {c}: {values[c]} != {values[c + period]}")
 
     def template(c):
-        if c <= reach:
-            return values[c]
-        back = c
-        while back > reach:
-            back -= period
-        return values[back]
+        # past the reach, step back by whole periods into the last period
+        return values[c if c <= reach else reach - (reach - c) % period]
 
     return template
 
 
-def serre_e2_over_bg(resolution, fiber_reps, prime, window=DEFAULT_WINDOW):
+def serre_e2_over_bg(resolution, fiber_reps, prime):
     """E2 of the Serre spectral sequence of a fibration over BG.
 
     ``fiber_reps`` maps fiber degree q to a list of summands; each summand is
@@ -208,7 +204,7 @@ def serre_e2_over_bg(resolution, fiber_reps, prime, window=DEFAULT_WINDOW):
             key = (module.name, mod_p)
             if key not in cache:
                 cache[key] = cohomology_row(resolution, module, prime, mod_p,
-                                            window, period)
+                                            period)
             rows.append(cache[key])
 
         def template(c, rows=tuple(rows)):
@@ -220,171 +216,142 @@ def serre_e2_over_bg(resolution, fiber_reps, prime, window=DEFAULT_WINDOW):
             return free, tors
 
         templates[q] = template
-    return BigradedPage(prime, 2, period, window, templates,
-                        provenance={"columns": "periodic extension beyond the "
-                                               "resolution range is flagged"})
+    return BigradedPage(prime, 2, period, WINDOW, templates)
 
 
 # --- the forced-differential search ----------------------------------------
 
 
-def _candidate_moves(page, must_die, r_max):
-    """All structurally possible moves, grouped by page index."""
-    period = page.period
+def _family_slots(page, move):
+    """In-window source columns a periodic move acts on."""
+    c0, q = move.source
+    return [c for c, qq, _, tors in page.slots()
+            if qq == q and c >= c0 and (c - c0) % page.period == 0 and tors]
+
+
+def _candidate_moves(page, must_die):
+    """All structurally possible moves, each paired with the source columns
+    it acts on, grouped by page index."""
     by_page = {}
-    for r in range(2, r_max + 1):
+    for r in range(2, MAX_PAGE + 1):
         moves = []
-        seen_families = set()
+        families = set()
         for c, q, free, tors in page.slots():
-            tq = q - r + 1
-            tc = c + r
+            tc, tq = c + r, q - r + 1
             if tq < 0:
                 continue
-            if tors and c >= 1:
-                fam_key = (q, c % period)
-                if fam_key in seen_families:
-                    continue
-                # family: does the target pattern have torsion anywhere?
+            if tors and c >= 1 and (q, c % page.period) not in families:
+                # rows are periodic past column 0, so the first column of a
+                # residue class anchors its family, and the target pattern
+                # has torsion at every column of the family or at none
+                families.add((q, c % page.period))
                 if page.tors_beyond_window(tc, tq) > 0:
-                    # anchor the family at its first source column
-                    first = min(cc for cc, qq, _, tt in page.slots()
-                                if qq == q and tt and cc >= 1 and cc % period == c % period)
-                    moves.append(Move(r, (first, q), (first + r, tq), 0, True))
-                    seen_families.add(fam_key)
+                    mv = Move(r, (c, q), (tc, tq), 0, True)
+                    moves.append((mv, _family_slots(page, mv)))
             if c == 0:
                 if tors and page.entry(tc, tq)[1] > 0:
-                    moves.append(Move(r, (c, q), (tc, tq), 0, False, "torsion"))
+                    moves.append((Move(r, (c, q), (tc, tq), 0, False), [c]))
                 if free and (tc, tq) in must_die and page.entry(tc, tq)[1] > 0:
-                    moves.append(Move(r, (c, q), (tc, tq), 0, False, "free"))
+                    moves.append((Move(r, (c, q), (tc, tq), 0, False, "free"),
+                                  [c]))
         if moves:
             by_page[r] = moves
     return by_page
 
 
-def _family_slots(page, move):
-    """In-window source columns a periodic move acts on."""
-    c0, q = move.source
-    out = []
-    for c, qq, _, tors in page.slots():
-        if qq == q and c >= c0 and (c - c0) % page.period == 0 and tors:
-            out.append(c)
-    return out
+def _touches(move, slot, period):
+    """Whether ``move`` has ``slot`` as a source or a target (a periodic move
+    at any column of its family)."""
+    if not move.periodic:
+        return slot in (move.source, move.target)
+    c, q = slot
+    return any(q == eq and c >= ec and (c - ec) % period == 0
+               for ec, eq in (move.source, move.target))
 
 
-def forced_differentials(page, top_dimension, r_max=DEFAULT_MAX_PAGE,
-                         max_solutions=6, node_budget=500_000):
-    """All differential assignments whose E-infinity vanishes above D.
+def _torsion_and_free(page):
+    """The page's nonzero torsion counts and free ranks, keyed by (c, q)."""
+    return ({(c, q): tors for c, q, _, tors in page.slots() if tors},
+            {(c, q): free for c, q, free, _ in page.slots() if free})
 
-    Returns a list of :class:`DifferentialSpec`; the pipeline requires the
-    list to have exactly one element.  The search is exhaustive over the move
-    model described in the module docstring.
+
+def _apply(page, tors, free, move, rank, columns):
+    """The in-window torsion after ``move`` acts with ``rank`` on each source
+    column in ``columns``, or None when a source or a target runs short.
+
+    A torsion move consumes its source; a free move needs the free rank and
+    keeps it.  A target past the window is read from the periodic template,
+    which the move does not consume.
     """
-    must_die = {(c, q) for c, q, _, tors in page.slots()
-                if tors and c + q > top_dimension}
-    candidates = _candidate_moves(page, must_die, r_max)
-    # the page does not change during the search, so neither do the columns
-    # a periodic move acts on
-    family = {mv.source: _family_slots(page, mv)
-              for moves in candidates.values() for mv in moves if mv.periodic}
-
-    # state: remaining torsion per in-window slot, shared-capacity pool for
-    # out-of-window targets per (row, residue)
-    init_tors = {(c, q): tors for c, q, _, tors in page.slots() if tors}
-    init_free = {(c, q): free for c, q, free, _ in page.slots() if free}
-    solutions = []
-    nodes = 0
-
-    def potential_killers(slot, from_page):
-        c, q = slot
-        for r in range(from_page, r_max + 1):
-            for mv in candidates.get(r, []):
-                if mv.periodic:
-                    sc, sq = mv.source
-                    if sq == q and c >= sc and (c - sc) % page.period == 0:
-                        yield mv
-                    tc0, tq = mv.target
-                    if tq == q and c >= tc0 and (c - tc0) % page.period == 0:
-                        yield mv
-                else:
-                    if mv.source == slot or mv.target == slot:
-                        yield mv
-
-    def doomed(tors, from_page):
-        for slot in must_die:
-            if tors.get(slot, 0) <= 0:
-                continue
-            if next(potential_killers(slot, from_page), None) is None:
-                return True
-        return False
-
-    def apply_move(tors, mv, rank):
-        """Return updated torsion dict, or None if capacities fail."""
-        new = dict(tors)
-        if mv.periodic:
-            sources = family[mv.source]
-            if not sources:
+    new = dict(tors)
+    q, tq = move.source[1], move.target[1]
+    for c in columns:
+        if move.kind == "free":
+            if free.get((c, q), 0) < rank:
                 return None
-            for c in sources:
-                sq = mv.source[1]
-                if new.get((c, sq), 0) < rank:
-                    return None
-                new[(c, sq)] -= rank
-                tc, tq = c + mv.page, mv.target[1]
-                avail = new.get((tc, tq), page.tors_beyond_window(tc, tq))
-                if tc + tq <= page.window:
-                    if new.get((tc, tq), 0) < rank:
-                        return None
-                    new[(tc, tq)] -= rank
-                else:
-                    # out-of-window target: the periodic pattern must carry it
-                    if avail < rank:
-                        return None
         else:
-            sc, sq = mv.source
-            if mv.kind == "torsion":
-                if new.get((sc, sq), 0) < rank:
-                    return None
-                new[(sc, sq)] -= rank
-            else:
-                if init_free.get((sc, sq), 0) < rank:
-                    return None
-            tc, tq = mv.target
+            if new.get((c, q), 0) < rank:
+                return None
+            new[(c, q)] -= rank
+        tc = c + move.page
+        if tc + tq <= page.window:
             if new.get((tc, tq), 0) < rank:
                 return None
             new[(tc, tq)] -= rank
-        return new
+        elif page.tors_beyond_window(tc, tq) < rank:
+            return None
+    return new
 
-    def search(r, tors, chosen):
+
+def forced_differentials(page, top_dimension):
+    """All differential assignments whose E-infinity vanishes above D.
+
+    Returns a list of :class:`DifferentialSpec`, at most ``MAX_SOLUTIONS + 1``
+    of them; the pipeline requires the list to have exactly one element.  The
+    search is exhaustive over the move model described in the module
+    docstring, and raises :class:`SearchBudget` past ``NODE_BUDGET`` nodes.
+    """
+    must_die = {(c, q) for c, q, _, tors in page.slots()
+                if tors and c + q > top_dimension}
+    candidates = _candidate_moves(page, must_die)
+    # the last page on which a move could still kill each slot that must die
+    last = {slot: max((r for r, moves in candidates.items()
+                       for mv, _ in moves if _touches(mv, slot, page.period)),
+                      default=0)
+            for slot in must_die}
+    init_tors, free = _torsion_and_free(page)
+    solutions = []
+    nodes = 0
+
+    def count():
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
-            raise SearchBudget(f"differential search exceeded {node_budget} nodes")
-        if len(solutions) > max_solutions:
+        if nodes > NODE_BUDGET:
+            raise SearchBudget(f"differential search exceeded {NODE_BUDGET} nodes")
+
+    def search(r, tors, chosen):
+        count()
+        if len(solutions) > MAX_SOLUTIONS:
             return
-        if r > r_max:
-            if all(tors.get(slot, 0) == 0 for slot in must_die):
+        if r > MAX_PAGE:
+            if not any(tors.get(slot) for slot in must_die):
                 solutions.append(DifferentialSpec(chosen))
             return
-        if doomed(tors, r):
+        if any(tors.get(slot) and last[slot] < r for slot in must_die):
             return
         moves = candidates.get(r, [])
 
         def assign(i, tors_now, chosen_now):
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudget(f"differential search exceeded {node_budget} nodes")
+            count()
             if i == len(moves):
                 search(r + 1, tors_now, chosen_now)
                 return
-            mv = moves[i]
+            mv, columns = moves[i]
             # rank 0: skip the move
             assign(i + 1, tors_now, chosen_now)
             rank = 1
-            while True:
-                updated = apply_move(tors_now, mv, rank)
-                if updated is None:
-                    break
+            while (updated := _apply(page, tors_now, free, mv, rank,
+                                     columns)) is not None:
                 assign(i + 1, updated,
                        chosen_now + [Move(mv.page, mv.source, mv.target, rank,
                                           mv.periodic, mv.kind)])
@@ -393,15 +360,11 @@ def forced_differentials(page, top_dimension, r_max=DEFAULT_MAX_PAGE,
         assign(0, tors, chosen)
 
     search(2, init_tors, [])
-    unique = []
-    for s in solutions:
-        if s not in unique:
-            unique.append(s)
-    return unique
+    return solutions
 
 
-def solve_unique(page, top_dimension, **kwargs):
-    specs = forced_differentials(page, top_dimension, **kwargs)
+def solve_unique(page, top_dimension):
+    specs = forced_differentials(page, top_dimension)
     if not specs:
         raise NoSolution(f"no assignment kills everything above degree {top_dimension}")
     if len(specs) > 1:
@@ -411,33 +374,18 @@ def solve_unique(page, top_dimension, **kwargs):
 
 def run_to_e_infinity(page, spec):
     """Apply a differential spec and return the stable page."""
-    out = page.copy()
+    tors, free = _torsion_and_free(page)
     for mv in spec.moves:
         if mv.rank <= 0:
             raise RankTooLarge("moves must have positive rank")
-        if mv.periodic:
-            sources = _family_slots(page, mv)
-        else:
-            sources = [mv.source[0]]
-        sq = mv.source[1]
-        tq = mv.target[1]
-        for c in sources:
-            if mv.kind == "torsion":
-                cell = out.rows.get(sq, {}).get(c)
-                if cell is None or cell[1] < mv.rank:
-                    raise RankTooLarge(f"{mv.describe()} exceeds source torsion")
-                cell[1] -= mv.rank
-            else:
-                cell = out.rows.get(sq, {}).get(c)
-                if cell is None or cell[0] < mv.rank:
-                    raise RankTooLarge(f"{mv.describe()} exceeds source free rank")
-                # a surjection from a free summand keeps its rank intact
-            tc = c + mv.page
-            if tc + tq <= out.window:
-                tcell = out.rows.get(tq, {}).get(tc)
-                if tcell is None or tcell[1] < mv.rank:
-                    raise RankTooLarge(f"{mv.describe()} exceeds target torsion")
-                tcell[1] -= mv.rank
+        columns = _family_slots(page, mv) if mv.periodic else [mv.source[0]]
+        tors = _apply(page, tors, free, mv, mv.rank, columns)
+        if tors is None:
+            raise RankTooLarge(f"{mv.describe()} exceeds the rank of its "
+                               "source or target")
+    out = page.copy()
+    for (c, q), left in tors.items():
+        out.rows[q][c][1] = left
     out.page_index = max([m.page for m in spec.moves], default=page.page_index) + 1
     return out
 
@@ -460,7 +408,3 @@ def assemble_total(page, group_order, top_dimension):
                 tors += t
         graded.append(AbelianGroup(free_rank=free, torsion=[p] * tors))
     return graded
-
-
-def series_from_graded(graded, prime):
-    return mod_p_series(graded, prime)

@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from ecomu3 import published
-from ecomu3.abelian import AbelianGroup, p_primary
+from ecomu3.abelian import AbelianGroup, mod_p_series, p_primary
 from ecomu3.coinvariants import CoinvariantAlgebra
 from ecomu3.diagram import load_bundled
 from ecomu3.diagonal import (TensorSquare, descent_basis, invariant_ring_presentation,
@@ -48,8 +48,7 @@ from ecomu3.linalg import IntMatrix, smith_normal_form
 from ecomu3.poset import PosetSn
 from ecomu3.resolution import group_cohomology
 from ecomu3.serre import (assemble_total, forced_differentials,
-                          run_to_e_infinity, serre_e2_over_bg,
-                          series_from_graded, solve_unique)
+                          run_to_e_infinity, serre_e2_over_bg, solve_unique)
 
 
 def ok(label):
@@ -112,7 +111,7 @@ def test_criterion_2_flbar3(resolution, flbar3_reps):
         {(5, (2, 6), (7, 2)), (5, (3, 4), (8, 0))}
     g3 = assemble_total(run_to_e_infinity(page3, specs3[0]), 6, 6)
     assert g3 == published.FLBAR3[3]
-    assert series_from_graded(g3, 3).coefficients == \
+    assert mod_p_series(g3, 3).coefficients == \
         published.FLBAR3_SERIES[3].coefficients
 
     page2 = serre_e2_over_bg(resolution, flbar3_reps, 2)
@@ -122,7 +121,7 @@ def test_criterion_2_flbar3(resolution, flbar3_reps):
         {(7, (1, 6), (8, 0))}
     g2 = assemble_total(run_to_e_infinity(page2, specs2[0]), 6, 6)
     assert g2 == published.FLBAR3[2]
-    assert series_from_graded(g2, 2).coefficients == \
+    assert mod_p_series(g2, 2).coefficients == \
         published.FLBAR3_SERIES[2].coefficients
     ok("2 (unordered flag threefold: tables, series, unique differentials)")
 
@@ -138,7 +137,7 @@ def test_criterion_3_twisted_square(resolution, fl3xfl3_reps):
         assert len(specs) == 1
         graded = assemble_total(run_to_e_infinity(page, specs[0]), 6, 12)
         assert graded == table
-        series = series_from_graded(graded, p)
+        series = mod_p_series(graded, p)
         assert series.coefficients == want_series.coefficients
         if p == 3:
             assert series.is_palindromic(12)
@@ -442,11 +441,11 @@ def test_criterion_8_projector_properties():
 def test_criterion_8_palindromic_series(resolution, flbar3_reps, fl3xfl3_reps):
     page = serre_e2_over_bg(resolution, flbar3_reps, 2)
     g = assemble_total(run_to_e_infinity(page, solve_unique(page, 6)), 6, 6)
-    assert series_from_graded(g, 2).is_palindromic(6)
+    assert mod_p_series(g, 2).is_palindromic(6)
     for p in (2, 3):
         page = serre_e2_over_bg(resolution, fl3xfl3_reps, p)
         g = assemble_total(run_to_e_infinity(page, solve_unique(page, 12)), 6, 12)
-        assert series_from_graded(g, p).is_palindromic(12)
+        assert mod_p_series(g, p).is_palindromic(12)
         assert u3t2_cohomology(p)["series"].is_palindromic(7)
         assert pu3_cohomology(p)["series"].is_palindromic(8)
     ok("8d (palindromic series for the four closed manifolds)")

@@ -128,3 +128,26 @@ def test_a_second_call_with_the_same_seed_adds_pairs(bench_pairs, tmp_path,
         row = data["summary"][f"sweep, seed 7, call {call}"]["throughput_per_s"]
         assert row["change_better_pairs"] == "2/2"
         assert row["parent"]["median"] == row["parent"]["q3"] == parent
+
+
+def test_only_the_src_trees_decide_whether_a_call_adds_to_a_file(
+        bench_pairs, tmp_path, monkeypatch):
+    """A docs edit marks the commit dirty but leaves ``src/`` alone, so the
+    second call adds to the file; a file added under ``src/`` does not."""
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, args: _run(
+        root.name, 0, 100, 0.01)["last_line"])
+    monkeypatch.chdir(tmp_path)
+    argv = ["parent", "change", "--workload", "sweep", "--seed", "7",
+            "--pairs", "1", "--label", "docs"]
+    for head in ("abc", "abc+dirty"):
+        monkeypatch.setattr(bench_pairs, "commit", lambda root, head=head: head)
+        assert bench_pairs.main(argv) == 0
+    data = json.loads((tmp_path / "BENCH_docs.json").read_text())
+    assert [r["call"] for r in data["runs"]] == [0, 0, 1, 1]
+    assert data["commits"]["change"]["commit"] == "abc"
+    (tmp_path / "change" / "src" / "new.py").write_text("")
+    with pytest.raises(SystemExit, match="other trees"):
+        bench_pairs.main(argv)

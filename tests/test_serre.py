@@ -2,12 +2,12 @@
 
 import pytest
 
-from ecomu3 import published
+from ecomu3 import published, serre
 from ecomu3.abelian import AbelianGroup, PoincareSeries, mod_p_series
 from ecomu3.serre import (Ambiguous, BigradedPage, Move, NoSolution,
                           RankTooLarge, DifferentialSpec, assemble_total,
                           forced_differentials, run_to_e_infinity,
-                          serre_e2_over_bg, series_from_graded, solve_unique)
+                          serre_e2_over_bg, solve_unique)
 
 
 def euler_characteristic(page):
@@ -79,7 +79,7 @@ def test_flbar3_answers(resolution, flbar3):
         stable = run_to_e_infinity(page, solve_unique(page, 6))
         graded = assemble_total(stable, 6, 6)
         assert graded == table
-        assert series_from_graded(graded, p).coefficients == series.coefficients
+        assert mod_p_series(graded, p).coefficients == series.coefficients
     # survivors at p=3 are exactly (3,2) and (4,0)
     page = serre_e2_over_bg(resolution, flbar3, 3)
     stable = run_to_e_infinity(page, solve_unique(page, 6))
@@ -113,7 +113,7 @@ def test_fl3xfl3_unique_solutions_and_answers(resolution, fl3xfl3):
         stable = run_to_e_infinity(page, specs[0])
         graded = assemble_total(stable, 6, 12)
         assert graded == table, f"p={p}"
-        assert series_from_graded(graded, p).coefficients == series.coefficients
+        assert mod_p_series(graded, p).coefficients == series.coefficients
         # the top free class supports one differential from its free part
         free_moves = [m for m in specs[0].moves if m.kind == "free"]
         assert len(free_moves) == 1
@@ -150,6 +150,63 @@ def test_loosened_bound_is_ambiguous(resolution, flbar3):
     assert len(specs) > 1
     with pytest.raises(Ambiguous):
         solve_unique(page, 20)
+
+
+def test_pruning_does_not_change_the_answer(resolution, catalog, flbar3,
+                                            fl3xfl3, monkeypatch):
+    """The reach table only cuts branches that cannot kill every slot that
+    must die, so with every move taken to touch every slot (no pruning
+    before the last page with moves) the search returns the same specs in
+    the same order, at every top dimension.  On the bundled fibers each slot
+    that must die is touched on one page only; the third fiber's odd rows
+    also give d_r of even r."""
+    odd = {1: [(catalog["standard"], False)],
+           3: [(catalog["standard(x)sign"], False)]}
+    pages = [serre_e2_over_bg(resolution, reps, p)
+             for reps in (flbar3, fl3xfl3, odd) for p in (2, 3)]
+    pruned = [[forced_differentials(page, top) for top in range(17)]
+              for page in pages]
+    assert {len(specs) for row in pruned[:4] for specs in row} == \
+        {0, 1, 2, 4, 7}
+    monkeypatch.setattr(serre, "_touches", lambda move, slot, period: True)
+    assert [[forced_differentials(page, top) for top in range(17)]
+            for page in pages] == pruned
+
+
+def test_search_stops_one_past_the_solution_cap(resolution, fl3xfl3):
+    page = serre_e2_over_bg(resolution, fl3xfl3, 3)
+    specs = forced_differentials(page, 16)
+    assert len(specs) == serre.MAX_SOLUTIONS + 1
+    with pytest.raises(Ambiguous, match=f"^{serre.MAX_SOLUTIONS + 1} "):
+        solve_unique(page, 16)
+
+
+@pytest.mark.parametrize("budget, code", [(847, 1), (848, 0)])
+def test_node_budget_is_one_line_error(capsys, monkeypatch, budget, code):
+    """The bundled fl3xfl3 search at p=3 takes exactly 848 nodes."""
+    from ecomu3.cli import main
+    monkeypatch.setattr(serre, "NODE_BUDGET", budget)
+    assert main(["serre", "fl3xfl3", "--prime", "3"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: SearchBudget: differential search exceeded "
+                       f"{budget} nodes\n")
+    else:
+        assert err == ""
+
+
+def test_targets_past_the_window_are_read_from_the_template(resolution,
+                                                            fl3xfl3):
+    """d5 from (10,6) lands at (15,2), past the window, where the periodic
+    row carries two order-3 classes: rank 2 applies, rank 3 is refused."""
+    page = serre_e2_over_bg(resolution, fl3xfl3, 3)
+    assert page.entry(10, 6)[1] >= 3 and page.tors_beyond_window(15, 2) == 2
+    stable = run_to_e_infinity(
+        page, DifferentialSpec([Move(5, (10, 6), (15, 2), 2, True)]))
+    assert stable.entry(10, 6)[1] == page.entry(10, 6)[1] - 2
+    with pytest.raises(RankTooLarge):
+        run_to_e_infinity(
+            page, DifferentialSpec([Move(5, (10, 6), (15, 2), 3, True)]))
 
 
 def test_page_already_vanishing(resolution, catalog):
@@ -209,11 +266,11 @@ def test_palindromic_series_for_closed_manifolds(resolution, flbar3, fl3xfl3):
     """
     page = serre_e2_over_bg(resolution, flbar3, 2)
     g = assemble_total(run_to_e_infinity(page, solve_unique(page, 6)), 6, 6)
-    assert series_from_graded(g, 2).is_palindromic(6)
+    assert mod_p_series(g, 2).is_palindromic(6)
     for p in (2, 3):
         page = serre_e2_over_bg(resolution, fl3xfl3, p)
         g = assemble_total(run_to_e_infinity(page, solve_unique(page, 12)), 6, 12)
-        assert series_from_graded(g, p).is_palindromic(12)
+        assert mod_p_series(g, p).is_palindromic(12)
     from ecomu3.koszul import pu3_cohomology, u3t2_cohomology
     for p in (2, 3):
         assert u3t2_cohomology(p)["series"].is_palindromic(7)

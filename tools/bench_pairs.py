@@ -21,9 +21,11 @@ and quartiles, the pairs the change wins (by the metric's ``better``
 direction in the change's ``BENCHMARK.json``) and the ratio of the medians,
 with ``past_bound`` true where that ratio is worse than the metric's
 ``bound`` (each such metric is also printed).  If the file exists for the
-same two trees, the new runs are added to it as a new call, so one file can
-hold several workloads and several calls per workload; each call is
-summarised on its own, as two calls may find the machine in two states.
+same two ``src/`` trees (by digest: an edit outside ``src/``, which marks the
+commit ``+dirty``, does not count), the new runs are added to it as a new
+call, so one file can hold several workloads and several calls per workload;
+each call is summarised on its own, as two calls may find the machine in two
+states.  The file keeps the first call's commits.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def main(argv=None):
     out_path = Path(f"BENCH_{args.label}.json")
     if out_path.exists():
         data = json.loads(out_path.read_text())
-        if data["commits"] != commits:
+        if any(data["commits"][side]["src_sha256"] != c["src_sha256"]
+               for side, c in commits.items()):
             raise SystemExit(f"{out_path} is for other trees; "
                              "choose another label")
     else:

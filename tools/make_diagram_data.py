@@ -126,32 +126,6 @@ def rand_matrix(rng, rows, cols, p, rank=None):
     raise RuntimeError("rank-targeted sampling failed")
 
 
-def hstack(a, b):
-    if a.cols == 0:
-        return b
-    if b.cols == 0:
-        return a
-    return a.hstack(b)
-
-
-def solve_b3(a6, a5, a4, c, dv5, dv6, p):
-    """B3 with B3*[A6|A5] = [A4|C] over F_p, or None."""
-    x = hstack(a6, a5)
-    y = hstack(a4, c)
-    if dv5 == 0:
-        return IntMatrix.zero(dv6, 0) if all(e % p == 0 for e in y.entries) else None
-    xt = x.transpose()
-    rows = []
-    for i in range(dv6):
-        z = modp_solve(xt, y.row(i) if y.cols else [], p)
-        if z is None:
-            return None
-        rows.append(z)
-    if not rows:
-        return IntMatrix.zero(0, dv5)
-    return IntMatrix.from_rows(rows)
-
-
 def unit_inclusion(rows, cols):
     return IntMatrix(rows, cols,
                      [1 if i == j else 0 for i in range(rows) for j in range(cols)])
