@@ -92,11 +92,6 @@ class AbelianGroup(FrozenRecord):
         factors.reverse()
         return cls(free, factors)
 
-    def direct_sum(self, other):
-        return AbelianGroup.from_cyclic_orders(
-            [0] * (self.free_rank + other.free_rank)
-            + list(self.torsion) + list(other.torsion))
-
     @property
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -112,13 +107,6 @@ class AbelianGroup(FrozenRecord):
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    def to_json(self):
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["free_rank"], obj["torsion"])
 
 
 def _factor(n):
@@ -256,9 +244,6 @@ class PoincareSeries(FrozenRecord):
                 t = "t" if d == 1 else f"t^{d}"
                 terms.append(t if c == 1 else f"{c}{t}")
         return " + ".join(terms)
-
-    def to_json(self):
-        return list(self.coefficients)
 
 
 def mod_p_series(graded, p):

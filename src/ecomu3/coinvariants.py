@@ -279,7 +279,7 @@ def identify_in_catalog(module, catalog):
     return matches[0]
 
 
-def kunneth_decompose(d, catalog=None):
+def kunneth_decompose(d):
     """H^d of the square of the flag threefold as a multiset of catalog names.
 
     d is a cohomological degree (even, 0..12); the diagonal symmetric group
@@ -288,9 +288,8 @@ def kunneth_decompose(d, catalog=None):
     """
     if d % 2 or not 0 <= d <= 12:
         raise ValueError("need an even degree between 0 and 12")
-    if catalog is None:
-        from .groups import standard_modules
-        catalog = standard_modules(3)
+    from .groups import standard_modules
+    catalog = standard_modules(3)
     algebra = CoinvariantAlgebra(3)
     reps = {a: algebra.degree_representation(a) for a in range(4)}
     names = []

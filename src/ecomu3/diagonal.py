@@ -202,12 +202,6 @@ class RingPresentation:
         rels = ", ".join(self.relations)
         return f"{self.field}[{gens}]/({rels})"
 
-    def to_json(self):
-        return {"field": self.field,
-                "generators": [[g, d] for g, d in self.generators],
-                "relations": self.relations,
-                "leading_monomials": self.leading_monomials}
-
 
 def _parse_monomial(text, names):
     out = {}

@@ -27,6 +27,7 @@ The bundled catalog for the symmetric group on three letters:
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from types import MappingProxyType
 
 from .matrix import IntMatrix, ShapeMismatch
@@ -75,9 +76,6 @@ class FiniteGroup:
     def mul(self, a, b):
         return _compose(a, b)
 
-    def inv(self, a):
-        return _inverse(a)
-
     def conjugacy_classes(self):
         seen = set()
         classes = []
@@ -125,7 +123,7 @@ def symmetric_group(n):
     swap = tuple([1, 0] + list(range(2, n)))
     gens = [cycle, swap] if n > 2 else [swap]
     els = generate(gens)
-    if len(els) != _factorial(n):
+    if len(els) != factorial(n):
         raise RuntimeError(f"generated {len(els)} elements, not {n}!")
     return FiniteGroup(els, gens, name=f"S{n}")
 
@@ -135,13 +133,6 @@ def cyclic_group(n):
     cycle = tuple(list(range(1, n)) + [0]) if n > 1 else (0,)
     els = generate([cycle]) if n > 1 else [(0,)]
     return FiniteGroup(els, [cycle] if n > 1 else [], name=f"C{n}")
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class GroupModule:
@@ -213,22 +204,6 @@ class GroupModule:
             gens[g] = _kronecker(self.action_matrix(g), other.action_matrix(g))
         return GroupModule(self.group, self.rank * other.rank, gens,
                            name=f"{self.name}(x){other.name}", check=False)
-
-    def direct_sum(self, other):
-        if other.group.descriptor() != self.group.descriptor():
-            raise ValueError("modules over different groups")
-        gens = {}
-        r = self.rank + other.rank
-        for g in self.group.generators:
-            a, b = self.action_matrix(g), other.action_matrix(g)
-            rows = []
-            for i in range(self.rank):
-                rows.append(a.row(i) + [0] * other.rank)
-            for i in range(other.rank):
-                rows.append([0] * self.rank + b.row(i))
-            gens[g] = IntMatrix.from_rows(rows)
-        return GroupModule(self.group, r, gens,
-                           name=f"{self.name}(+){other.name}", check=False)
 
     def __repr__(self):
         return f"GroupModule({self.name or 'rank %d' % self.rank})"

@@ -22,7 +22,8 @@ so the rows of delta0 at the 2-chain (a, b) depend on m(a, b) alone and the
 rows of delta1 at the 3-chain (a, b, c) on m(b, c) alone.  The block of
 delta1 . delta0 at (a, b, c) and the source a is m(a, c) - m(b, c) m(a, b),
 and every other block is 0: the complex condition is functoriality along
-each 3-chain.
+each 3-chain.  :func:`cosimplicial_complex` writes both differentials as
+these row blocks, one per chain, for the tests' dense oracle.
 
 :func:`higher_limits` needs neither differential in full.  Number the objects
 0:(0) 1:(1) 2:(2) 3:(0,1) 4:(0,2) 5:(1,2) 6:(0,1,2) and let d_i be the
@@ -66,6 +67,8 @@ eliminated once per block.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .diagram import commutes
 from .matrix import EchelonBasis
 
@@ -84,67 +87,47 @@ class NonVanishingLim2(RuntimeError):
         self.degree = degree
 
 
-class CochainLayout:
-    """The offsets of C^0 and C^1 in fiber degree k, and the row blocks.
-
-    Rows are sparse ``{index: value}`` dicts with values reduced mod p.  A row
-    block depends on one map only (see the module docstring).
-    """
-
-    def __init__(self, diagram, k):
-        poset = diagram.poset
-        self.p = diagram.prime
-        self.object_dims = [diagram.dim(i, k) for i in range(len(poset))]
-        self.off0 = _offsets(self.object_dims)
-        targets = [self.object_dims[b] for _, b in poset.chains2]
-        self.off1 = dict(zip(poset.chains2, _offsets(targets)))
-        self.dims = complex_sizes(poset, self.object_dims)
-
-    def delta0_block(self, a, b, m):
-        """Rows of delta0 at the 2-chain (a, b), where m is the map a -> b."""
-        p, n = self.p, m.cols
-        src, tgt = self.off0[a], self.off0[b]
-        rows = []
-        for i in range(self.object_dims[b]):
-            row = {src + j: -e % p
-                   for j, e in enumerate(m.entries[i * n:(i + 1) * n]) if e % p}
-            row[tgt + i] = 1
-            rows.append(row)
-        return rows
-
-    def delta1_block(self, a, b, c, m):
-        """Rows of delta1 at the 3-chain (a, b, c), where m is the map b -> c."""
-        p, n = self.p, m.cols
-        ab, ac, bc = self.off1[a, b], self.off1[a, c], self.off1[b, c]
-        rows = []
-        for i in range(self.object_dims[c]):
-            row = {ab + j: e % p
-                   for j, e in enumerate(m.entries[i * n:(i + 1) * n]) if e % p}
-            row[bc + i] = 1
-            row[ac + i] = p - 1
-            rows.append(row)
-        return rows
-
-
 def complex_sizes(poset, dims):
     """(n0, n1, n2), the sizes of C^0, C^1 and C^2 for object dimensions dims."""
     return (sum(dims), sum(dims[b] for _, b in poset.chains2),
             sum(dims[c] for _, _, c in poset.chains3))
 
 
+def sparse_rows(m, offset, sign, p):
+    """The rows of sign * m mod p as sparse ``{index: value}`` dicts, with
+    m's columns at the indices from offset on."""
+    n = m.cols
+    return [{offset + j: sign * e % p
+             for j, e in enumerate(m.entries[i * n:(i + 1) * n]) if e % p}
+            for i in range(m.rows)]
+
+
 def cosimplicial_complex(diagram, k):
     """((n0, n1, n2), delta0, delta1) of the normalized complex in fiber degree k.
 
-    delta0 maps each 2-chain, and delta1 each 3-chain, to its block of rows
-    (see :class:`CochainLayout`), in chain order.
+    delta0 maps each 2-chain (a, b) to its rows, which read m(a, b) alone, and
+    delta1 each 3-chain (a, b, c) to its rows, which read m(b, c) alone (see
+    the module docstring); rows are sparse dicts with values reduced mod p.
     """
-    poset = diagram.poset
-    layout = CochainLayout(diagram, k)
-    delta0 = {(a, b): layout.delta0_block(a, b, diagram.matrix(a, b, k))
-              for (a, b) in poset.chains2}
-    delta1 = {(a, b, c): layout.delta1_block(a, b, c, diagram.matrix(b, c, k))
-              for (a, b, c) in poset.chains3}
-    return layout.dims, delta0, delta1
+    poset, p = diagram.poset, diagram.prime
+    dims = [diagram.dim(i, k) for i in range(len(poset))]
+    off0 = list(accumulate(dims, initial=0))
+    off1 = dict(zip(poset.chains2,
+                    accumulate((dims[b] for _, b in poset.chains2), initial=0)))
+    delta0 = {}
+    for a, b in poset.chains2:
+        rows = sparse_rows(diagram.matrix(a, b, k), off0[a], -1, p)
+        for i, row in enumerate(rows):
+            row[off0[b] + i] = 1
+        delta0[a, b] = rows
+    delta1 = {}
+    for a, b, c in poset.chains3:
+        rows = sparse_rows(diagram.matrix(b, c, k), off1[a, b], 1, p)
+        for i, row in enumerate(rows):
+            row[off1[b, c] + i] = 1
+            row[off1[a, c] + i] = p - 1
+        delta1[a, b, c] = rows
+    return complex_sizes(poset, dims), delta0, delta1
 
 
 def check_complex(matrix, chains3, k, p):
@@ -167,11 +150,8 @@ def hexagon_half(dims, a, b, m, p):
     """The rows of H at the pair b, on the columns of the singleton a: one
     sparse row per coordinate of b, m = m(a, b) for the pair's first singleton
     and -m for its second.  ``dims`` lists the object dimensions."""
-    off, n = sum(dims[:a]), m.cols
     sign = 1 if PAIRS[b - 3][1] == a else -1
-    return [{off + c: sign * e % p
-             for c, e in enumerate(m.entries[r * n:(r + 1) * n]) if e % p}
-            for r in range(m.rows)]
+    return sparse_rows(m, sum(dims[:a]), sign, p)
 
 
 def hexagon_rows(dims, matrix, p, pairs=PAIRS):
@@ -250,11 +230,3 @@ def bk_assemble(diagram):
         dims.pop()
     return dims, lims
 
-
-def _offsets(blocks):
-    out = []
-    total = 0
-    for b in blocks:
-        out.append(total)
-        total += b
-    return out

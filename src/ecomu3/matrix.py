@@ -145,16 +145,6 @@ class IntMatrix:
     def is_zero(self):
         return all(e == 0 for e in self.entries)
 
-    def to_json(self):
-        return {"rows": self.rows, "cols": self.cols, "data": self.to_lists()}
-
-    @classmethod
-    def from_json(cls, obj):
-        m = cls.from_int_rows(obj["data"]) if obj["data"] else cls.zero(obj["rows"], obj["cols"])
-        if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
-            raise ShapeMismatch("json shape disagrees with data")
-        return m
-
 
 def modp_rref(rows, n, p):
     """Row reduce a list of length-n rows over F_p; returns (rref, pivots)."""

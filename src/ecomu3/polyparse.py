@@ -1,13 +1,12 @@
 """A small parser for the plain-text polynomial syntax of the CLI.
 
-Accepted: variables x1..xn and y1..yn, integer or rational coefficients
-(``2``, ``-1/3``), ``+``, ``-``, ``*``, ``^``, and parentheses.  Juxtaposed
-factors need explicit ``*``.  x-variables address the left tensor factor and
-y-variables the right one; pure-x input parses to a plain polynomial.
+Accepted: variables x1..xn, integer or rational coefficients (``2``,
+``-1/3``), ``+``, ``-``, ``*``, ``^``, and parentheses.  Juxtaposed factors
+need explicit ``*``.
 
-Every parsed polynomial is read in the coinvariant algebra (or its tensor
-square), which is 0 above polynomial degree n(n-1)/2, so terms of x-degree
-or y-degree above that are dropped as they arise.  A power is then a short
+Every parsed polynomial is read in the coinvariant algebra, which is 0 above
+polynomial degree n(n-1)/2, so terms of degree above that are dropped as
+they arise.  A power is then a short
 binomial sum however large its exponent.  A numeral, or the constant term of
 a power, with more digits than the interpreter converts
 (``sys.get_int_max_str_digits``) is a ParseError; with that limit switched
@@ -16,8 +15,6 @@ Error messages quote at most the first 40 characters of the input.
 
 >>> parse_polynomial("x1 + x2 + x3", n=3)
 {(1, 0, 0): Fraction(1, 1), (0, 1, 0): Fraction(1, 1), (0, 0, 1): Fraction(1, 1)}
->>> parse_tensor("x1*x2 * y2*y3", n=3)[((1, 1, 0), (0, 1, 1))]
-Fraction(1, 1)
 >>> parse_polynomial("x1^99999999 + (1 + x2)^4", n=3)[(0, 3, 0)]
 Fraction(4, 1)
 """
@@ -31,7 +28,7 @@ from math import comb, log10
 
 from .polynomial import poly_add, poly_mul, poly_scale
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[xy]\d+|\^|\*|\+|-|\(|\))")
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|x\d+|\^|\*|\+|-|\(|\))")
 
 
 class ParseError(ValueError):
@@ -65,8 +62,7 @@ def _integer(digits):
 class _Parser:
     """Recursive descent over sum -> term -> power -> atom.
 
-    Polynomials are {exponents: Fraction} over the 2n variables x_1..x_n,
-    y_1..y_n.
+    Polynomials are {exponents: Fraction} over the variables x_1..x_n.
     """
 
     def __init__(self, tokens, n):
@@ -74,7 +70,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.top = n * (n - 1) // 2
-        self.one = (0,) * (2 * n)
+        self.one = (0,) * n
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -102,10 +98,8 @@ class _Parser:
                 return total
 
     def mul(self, a, b):
-        """a * b without the terms of x-degree or y-degree above the top."""
-        n, top = self.n, self.top
-        return {e: c for e, c in poly_mul(a, b).items()
-                if sum(e[:n]) <= top and sum(e[n:]) <= top}
+        """a * b without the terms of degree above the top."""
+        return {e: c for e, c in poly_mul(a, b).items() if sum(e) <= self.top}
 
     def term(self):
         value = self.power()
@@ -124,7 +118,7 @@ class _Parser:
             raise ParseError("exponent must be a nonnegative integer")
         exp = _integer(tok)
         # base = c + rest, every term of rest of positive degree, so rest^j
-        # is 0 once j > 2 * top and base^exp = sum_j C(exp, j) c^(exp-j) rest^j
+        # is 0 once j > top and base^exp = sum_j C(exp, j) c^(exp-j) rest^j
         c = base.get(self.one, 0)
         size = max(abs(c.numerator), c.denominator)
         # with the interpreter's limit off (0), its default still bounds the
@@ -153,13 +147,13 @@ class _Parser:
             if self.take() != ")":
                 raise ParseError("unbalanced parentheses")
             return inner
-        if tok[0] in "xy":
+        if tok[0] == "x":
             idx = _integer(tok[1:])
             if not 1 <= idx <= self.n:
                 raise ParseError(
                     f"variable {quoted(tok)} out of range 1..{self.n}")
-            e = [0] * (2 * self.n)
-            e[idx - 1 + (self.n if tok[0] == "y" else 0)] = 1
+            e = [0] * self.n
+            e[idx - 1] = 1
             return {tuple(e): Fraction(1)}
         if "/" in tok:
             a, b = map(_integer, tok.split("/"))
@@ -171,21 +165,9 @@ class _Parser:
         raise ParseError(f"unexpected token {quoted(tok)}")
 
 
-def parse_tensor(text, n=3):
-    """Parse into a tensor-square element {(x-exponents, y-exponents): coeff}."""
+def parse_polynomial(text, n=3):
+    """Parse into a polynomial {exponents: coeff} in x1..xn."""
     try:
-        flat = _Parser(_tokenize(text), n).parse()
+        return _Parser(_tokenize(text), n).parse()
     except RecursionError:
         raise ParseError("parentheses nested too deeply") from None
-    return {(e[:n], e[n:]): c for e, c in flat.items()}
-
-
-def parse_polynomial(text, n=3):
-    """Parse pure-x input into a plain polynomial {exponents: coeff}."""
-    tensor = parse_tensor(text, n)
-    out = {}
-    for (ex, ey), c in tensor.items():
-        if any(ey):
-            raise ParseError("y-variables are not allowed here")
-        out[ex] = c
-    return out

@@ -8,6 +8,8 @@ bundled one (exactly when the twist group is small, a deterministic sample
 otherwise), keeps those variants that still extend to a functorial diagram
 (the two upper maps are re-solved, the identity at (0,2)->(0,1,2) is kept),
 and recomputes (lim^0, lim^1).  The claim under test: the values never move.
+The variants of a map m of rank r are B G S with G in GL_r(F_p), from one
+elimination of m: B is its pivot columns and S its reduced echelon form.
 
 The recomputation is exact but incremental.  It uses the formulas of
 :mod:`ecomu3.limits`: lim^0 is the kernel of the hexagon of the six lower
@@ -32,7 +34,7 @@ from itertools import product as iproduct
 from .diagram import equal_modp
 from .limits import (PAIRS, check_complex, complex_sizes, hexagon_half,
                      hexagon_rows, higher_limits, top_image_dim)
-from .matrix import EchelonBasis, IntMatrix, modp_rank, modp_rref, modp_solve
+from .matrix import EchelonBasis, IntMatrix, modp_rank, modp_rref
 
 # the maps out of (0) are pinned canonical inclusions (their twist freedom is
 # a basis gauge); the other four lower arrows are genuinely under-determined
@@ -44,27 +46,14 @@ EXHAUSTIVE_LIMIT = 2000
 SAMPLE_SIZE = 200
 
 
-def _column_space_basis(m, p):
-    rref, pivots = modp_rref([m.row(i) for i in range(m.rows)], m.cols, p)
-    cols = []
-    for j in pivots:
-        cols.append(m.column(j))
-    return cols
-
-
 def _factor(m, p):
-    """m = B * S with B a basis of the image and S full-row-rank."""
-    cols = _column_space_basis(m, p)
-    r = len(cols)
-    if r == 0:
+    """m = B * S mod p: B is the pivot columns of m, a basis of its image, and
+    S the nonzero rows of its reduced echelon form; None when m is 0 mod p."""
+    rref, pivots = modp_rref(m.to_lists(), m.cols, p)
+    if not pivots:
         return None
-    B = IntMatrix.from_columns(cols, rows=m.rows)
-    rows_S = []
-    for j in range(m.cols):
-        sol = modp_solve(B, m.column(j), p)
-        rows_S.append(sol)
-    S = IntMatrix.from_columns(rows_S, rows=r)
-    return B, S, r
+    B = IntMatrix.from_columns([m.column(j) for j in pivots], rows=m.rows)
+    return B, IntMatrix.from_rows(rref), len(pivots)
 
 
 def _gl_elements(r, p, rng):

@@ -22,16 +22,19 @@ Differentials run d_r : (c, q) -> (c + r, q - r + 1) for 2 <= r <= 7; longer
 differentials out of total degree <= 14 would leave the window anyway.
 
 One function, ``_apply``, checks a move's capacities, for the search and for
-:func:`run_to_e_infinity` alike.  A slot that must die is pruned against a
-table of the last page on which any candidate move touches it.
+:func:`run_to_e_infinity` alike.  A move consumes its targets and, unless it
+maps a free part, its sources, so no class is used twice; a target past the
+window is read from the periodic template on its first use and counted from
+then on.  A slot that must die is pruned against a table of the last page on
+which any candidate move touches it.
 
 Four module constants fix the engine: ``WINDOW`` (16, the total degrees a
 page stores), ``MAX_PAGE`` (7, the longest differential), ``MAX_SOLUTIONS``
 (6; the search stops once it holds one more assignment, enough to report
-ambiguity) and ``NODE_BUDGET`` (500,000 search nodes, each entry into a page
-or into a move's rank choice counting one).  The bundled searches take 16
-(``flbar3`` mod 2), 22 (``flbar3`` mod 3), 34 (``fl3xfl3`` mod 2) and 848
-(``fl3xfl3`` mod 3) nodes.
+ambiguity, so :class:`Ambiguous` then says "at least 7") and ``NODE_BUDGET``
+(500,000 search nodes, each entry into a page or into a move's rank choice
+counting one).  The bundled searches take 16 (``flbar3`` mod 2), 22
+(``flbar3`` mod 3), 34 (``fl3xfl3`` mod 2) and 848 (``fl3xfl3`` mod 3) nodes.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ class NoSolution(RuntimeError):
 
 class Ambiguous(RuntimeError):
     def __init__(self, specs):
-        super().__init__(f"{len(specs)} differential assignments achieve vanishing")
+        # the search stops once it holds MAX_SOLUTIONS + 1 specs
+        least = "at least " if len(specs) > MAX_SOLUTIONS else ""
+        super().__init__(f"{least}{len(specs)} differential assignments "
+                         "achieve vanishing")
         self.specs = specs
 
 
@@ -270,18 +276,20 @@ def _touches(move, slot, period):
 
 
 def _torsion_and_free(page):
-    """The page's nonzero torsion counts and free ranks, keyed by (c, q)."""
-    return ({(c, q): tors for c, q, _, tors in page.slots() if tors},
+    """The torsion counts of the page's stored slots and its nonzero free
+    ranks, keyed by (c, q)."""
+    return ({(c, q): tors for c, q, _, tors in page.slots()},
             {(c, q): free for c, q, free, _ in page.slots() if free})
 
 
 def _apply(page, tors, free, move, rank, columns):
-    """The in-window torsion after ``move`` acts with ``rank`` on each source
-    column in ``columns``, or None when a source or a target runs short.
+    """The torsion after ``move`` acts with ``rank`` on each source column in
+    ``columns``, or None when a source or a target runs short.
 
     A torsion move consumes its source; a free move needs the free rank and
-    keeps it.  A target past the window is read from the periodic template,
-    which the move does not consume.
+    keeps it.  Every move consumes its targets, in the window or past it: a
+    target is read from ``tors``, or from the periodic template on its first
+    use, so no two moves can map onto one class.
     """
     new = dict(tors)
     q, tq = move.source[1], move.target[1]
@@ -293,13 +301,12 @@ def _apply(page, tors, free, move, rank, columns):
             if new.get((c, q), 0) < rank:
                 return None
             new[(c, q)] -= rank
-        tc = c + move.page
-        if tc + tq <= page.window:
-            if new.get((tc, tq), 0) < rank:
-                return None
-            new[(tc, tq)] -= rank
-        elif page.tors_beyond_window(tc, tq) < rank:
+        target = (c + move.page, tq)
+        if target not in new:
+            new[target] = page.tors_beyond_window(*target)
+        if new[target] < rank:
             return None
+        new[target] -= rank
     return new
 
 
@@ -385,7 +392,8 @@ def run_to_e_infinity(page, spec):
                                "source or target")
     out = page.copy()
     for (c, q), left in tors.items():
-        out.rows[q][c][1] = left
+        if c + q <= page.window:
+            out.rows[q][c][1] = left
     out.page_index = max([m.page for m in spec.moves], default=page.page_index) + 1
     return out
 

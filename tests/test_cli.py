@@ -83,6 +83,8 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["flag", "nf", "9" * 4000 + "/0"],
     # a file that fails validation and disagrees with --prime
     ["holim", "limits", "--prime", "3", "--diagram", "DIAGRAM_WRONG_DIMS"],
+    # the variables are x1..x3 only
+    ["flag", "nf", "y1"],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,

@@ -118,7 +118,7 @@ def test_identify_in_catalog(algebra, catalog):
     assert identify_in_catalog(algebra.degree_representation(2), catalog) == "standard"
 
 
-def test_kunneth_list(catalog):
+def test_kunneth_list():
     expected = {
         0: ["trivial"],
         2: ["standard", "standard"],
@@ -129,7 +129,7 @@ def test_kunneth_list(catalog):
         12: ["trivial"],
     }
     for d, names in expected.items():
-        assert kunneth_decompose(d, catalog) == sorted(names), d
+        assert kunneth_decompose(d) == sorted(names), d
     with pytest.raises(ValueError):
         kunneth_decompose(5)
 

@@ -93,9 +93,6 @@ def test_invariants(catalog):
 def test_tensor_and_sum(catalog):
     s = catalog["sign"]
     assert s.tensor(s).character() == [1, 1, 1]
-    both = catalog["standard"].direct_sum(catalog["sign"])
-    assert both.rank == 3
-    assert both.character() == [3, -1, 0]
 
 
 def test_module_name_aliases():

@@ -19,11 +19,11 @@ import pytest
 
 from ecomu3.diagram import PosetDiagram, commutes, load_bundled
 from ecomu3.limits import cosimplicial_complex, higher_limits
-from ecomu3.matrix import IntMatrix, modp_rref
+from ecomu3.matrix import IntMatrix, modp_rank, modp_rref
 from ecomu3.poset import PosetSn
 from ecomu3.robustness import (COMPLETED_ARROWS, EXHAUSTIVE_LIMIT,
                                LOWER_ARROWS, SAMPLE_SIZE, Completion,
-                               VariantLimits, _gl_elements,
+                               VariantLimits, _factor, _gl_elements,
                                kernel_image_variants)
 
 from dense_oracle import dense, dense_complex, dense_limits
@@ -278,6 +278,29 @@ def _invertible(g, p):
 def _exhaustive_sizes():
     return [(r, p) for p in (2, 3, 5) for r in range(1, 5)
             if p ** (r * r) <= 4 * EXHAUSTIVE_LIMIT]
+
+
+def test_factor_is_image_basis_times_reduced_echelon_form(diagram):
+    """For every lower block nonzero mod p: m = B S mod p, with S in reduced
+    row echelon form and B and S of the rank of m."""
+    p = diagram.prime
+    for arrow in LOWER_ARROWS:
+        for k in range(diagram.max_degree + 1):
+            m = diagram.matrix(*arrow, k)
+            if all(e % p == 0 for e in m.entries):
+                assert _factor(m, p) is None
+                continue
+            B, S, r = _factor(m, p)
+            assert r == modp_rank(m, p)
+            assert (B.rows, B.cols, S.rows, S.cols) == (m.rows, r, r, m.cols)
+            assert all((x - y) % p == 0
+                       for x, y in zip((B * S).entries, m.entries))
+            leads = [min(j for j, e in enumerate(row) if e)
+                     for row in S.to_lists()]
+            assert leads == sorted(set(leads))
+            assert all(0 <= e < p for e in S.entries)
+            for i, j in enumerate(leads):
+                assert S.column(j) == [int(i == t) for t in range(r)]
 
 
 @pytest.mark.parametrize("r, p", _exhaustive_sizes())

@@ -1,11 +1,15 @@
 """The additive spectral sequence engine on the two bundled fibrations."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from ecomu3 import published, serre
 from ecomu3.abelian import AbelianGroup, PoincareSeries, mod_p_series
 from ecomu3.serre import (Ambiguous, BigradedPage, Move, NoSolution,
-                          RankTooLarge, DifferentialSpec, assemble_total,
+                          RankTooLarge, DifferentialSpec, SearchBudget,
+                          assemble_total,
                           forced_differentials, run_to_e_infinity,
                           serre_e2_over_bg, solve_unique)
 
@@ -148,7 +152,7 @@ def test_loosened_bound_is_ambiguous(resolution, flbar3):
     page = serre_e2_over_bg(resolution, flbar3, 3)
     specs = forced_differentials(page, 20)
     assert len(specs) > 1
-    with pytest.raises(Ambiguous):
+    with pytest.raises(Ambiguous, match="^4 differential assignments"):
         solve_unique(page, 20)
 
 
@@ -177,7 +181,9 @@ def test_search_stops_one_past_the_solution_cap(resolution, fl3xfl3):
     page = serre_e2_over_bg(resolution, fl3xfl3, 3)
     specs = forced_differentials(page, 16)
     assert len(specs) == serre.MAX_SOLUTIONS + 1
-    with pytest.raises(Ambiguous, match=f"^{serre.MAX_SOLUTIONS + 1} "):
+    # the search stopped there, so more may exist
+    with pytest.raises(Ambiguous, match=f"^at least {serre.MAX_SOLUTIONS + 1} "
+                                        "differential assignments"):
         solve_unique(page, 16)
 
 
@@ -207,6 +213,67 @@ def test_targets_past_the_window_are_read_from_the_template(resolution,
     with pytest.raises(RankTooLarge):
         run_to_e_infinity(
             page, DifferentialSpec([Move(5, (10, 6), (15, 2), 3, True)]))
+
+
+def test_targets_past_the_window_are_consumed():
+    """d5 (4i+1,11) -> (4i+6,7) and d6 (4i+4,12) -> (4i+10,7) both reach
+    (10,7), past the window, which holds one order-3 class: once d5 has used
+    it, d6 cannot, and no assignment kills everything above degree 14."""
+    residues = {7: 2, 11: 1, 12: 0}
+    page = BigradedPage(3, 2, 4, 16, {
+        q: (lambda c, r=r: (0, int(c >= 1 and c % 4 == r)))
+        for q, r in residues.items()})
+    tors, free = serre._torsion_and_free(page)
+    d5 = Move(5, (1, 11), (6, 7), 0, True)
+    d6 = Move(6, (4, 12), (10, 7), 0, True)
+    after = serre._apply(page, tors, free, d5, 1, serre._family_slots(page, d5))
+    assert after is not None and after[10, 7] == 0
+    assert serre._apply(page, after, free, d6, 1,
+                        serre._family_slots(page, d6)) is None
+    assert forced_differentials(page, 14) == []
+
+
+def _random_page(rng):
+    """3-7 rows with a 0/1 torsion pattern per residue past column 0 and
+    (free, tors) in {0, 1}^2 at column 0, at p = 2 or 3."""
+    p = rng.choice((2, 3))
+    period = 4 if p == 3 else 2
+    templates = {}
+    for q in rng.sample(range(14), rng.randint(3, 7)):
+        pattern = [rng.randint(0, 1) for _ in range(period)]
+        col0 = (rng.randint(0, 1), rng.randint(0, 1))
+        templates[q] = (lambda c, pattern=pattern, col0=col0:
+                        col0 if c == 0 else (0, pattern[c % period]))
+    return BigradedPage(p, 2, period, serre.WINDOW, templates)
+
+
+def test_no_spec_uses_a_class_twice(monkeypatch):
+    """Each class, in the window or past it, is the source or the target of
+    at most as many moves as its torsion count, counted here from the moves
+    and the row templates alone.  Searches past 20,000 nodes are skipped."""
+    monkeypatch.setattr(serre, "NODE_BUDGET", 20_000)
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(1000):
+        page = _random_page(rng)
+        try:
+            specs = forced_differentials(page, rng.randint(4, 15))
+        except SearchBudget:
+            continue
+        for spec in specs:
+            used = Counter()
+            for mv in spec.moves:
+                (c0, q), tq = mv.source, mv.target[1]
+                columns = (range(c0, page.window - q + 1, page.period)
+                           if mv.periodic else [c0])
+                for c in columns:
+                    if mv.kind == "torsion":
+                        used[c, q] += mv.rank
+                    used[c + mv.page, tq] += mv.rank
+            for (c, q), n in used.items():
+                assert n <= page.tors_beyond_window(c, q), spec
+            checked += 1
+    assert checked > 400
 
 
 def test_page_already_vanishing(resolution, catalog):
