@@ -11,14 +11,14 @@ plain structural equality.
 Z
 >>> print(AbelianGroup(torsion=[2, 6]))
 Z/2 + Z/6
->>> cohomology_at(zero_map_into(5), zero_map_from(5))
-AbelianGroup(free_rank=5, torsion=[])
+>>> from ecomu3.matrix import IntMatrix
+>>> cohomology_at(IntMatrix.zero(5, 0), IntMatrix.zero(0, 5))
+AbelianGroup(free_rank=5, torsion=())
 """
 
 from __future__ import annotations
 
-from .matrix import (CompositionNonzero, IntMatrix, ShapeMismatch, is_prime,
-                     modp_rank)
+from .matrix import CompositionNonzero, ShapeMismatch, is_prime, modp_rank
 
 
 class FrozenRecord:
@@ -122,23 +122,14 @@ def _factor(n):
     return out
 
 
-def zero_map_from(n):
-    """The zero map Z^n -> 0 (a 0 x n matrix)."""
-    return IntMatrix.zero(0, n)
-
-
-def zero_map_into(n):
-    """The zero map 0 -> Z^n (an n x 0 matrix)."""
-    return IntMatrix.zero(n, 0)
-
-
 def cohomology_at(d_in, d_out):
     """ker(d_out)/im(d_in) for a three-term complex of free Z-modules.
 
     ``d_in``: C' -> C and ``d_out``: C -> C'' as integer matrices acting on
     column vectors, with d_out * d_in = 0.  The kernel of a 0 x n map is all
     of Z^n and the image of an n x 0 map is 0, so complexes may be terminated
-    with the maps from :func:`zero_map_from` / :func:`zero_map_into`.
+    with the empty matrices ``IntMatrix.zero(0, n)`` and
+    ``IntMatrix.zero(n, 0)``.
     """
     from .linalg import invariant_factors
     if d_in.rows != d_out.cols:
@@ -203,10 +194,6 @@ class PoincareSeries(FrozenRecord):
     def __getitem__(self, d):
         return self.coefficients[d] if 0 <= d < len(self.coefficients) else 0
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
     def __mul__(self, other):
         a, b = self.coefficients, other.coefficients
         if not a or not b:
@@ -217,19 +204,6 @@ class PoincareSeries(FrozenRecord):
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return PoincareSeries(out)
-
-    def __add__(self, other):
-        n = max(len(self.coefficients), len(other.coefficients))
-        return PoincareSeries([self[i] + other[i] for i in range(n)])
-
-    def total(self):
-        return sum(self.coefficients)
-
-    def is_palindromic(self, top=None):
-        """Coefficient symmetry c_d == c_{top-d} (Poincare duality check)."""
-        if top is None:
-            top = self.degree
-        return all(self[d] == self[top - d] for d in range(top + 1))
 
     def __str__(self):
         if not self.coefficients:

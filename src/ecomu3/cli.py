@@ -129,11 +129,9 @@ def _check_config(config):
     for row, entries in fiber.items():
         need(row.isascii() and row.isdigit(),
              f"fiber degree {row!r} is not an integer >= 0")
-        need(isinstance(entries, list) and all(
-            isinstance(e, str) or isinstance(e, dict)
-            and isinstance(e.get("name"), str) for e in entries),
-            f"fiber degree {row}: each module must be a name or an object "
-            'with a "name"')
+        need(isinstance(entries, list)
+             and all(isinstance(e, str) for e in entries),
+             f"fiber degree {row}: each module must be a name")
     for key, least in (("top_dimension", 0), ("group_order", 1)):
         need(type(config.get(key)) is int and config[key] >= least,
              f'"{key}" must be an integer >= {least}')
@@ -143,17 +141,13 @@ def fiber_reps_from_config(config):
     from .groups import resolve_module_name, standard_modules
     catalog = standard_modules(3)
     reps = {}
-    for row, entries in config["fiber"].items():
-        summands = []
-        for entry in entries:
-            name = entry if isinstance(entry, str) else entry["name"]
+    for row, names in config["fiber"].items():
+        modules = reps[int(row)] = []
+        for name in names:
             try:
-                module = catalog[resolve_module_name(name)]
+                modules.append(catalog[resolve_module_name(name)])
             except KeyError:
                 raise CommandError(f"unknown module {name!r} in the fiber")
-            summands.append((module, isinstance(entry, dict)
-                             and bool(entry.get("mod_p"))))
-        reps[int(row)] = summands
     return reps
 
 
@@ -322,8 +316,8 @@ def cmd_holim(args, report):
         for note in diagram.notes:
             report.add_note(note)
         return
-    from .limits import NonVanishingLim2, bk_assemble, higher_limits
     if args.holim_op == "limits":
+        from .limits import higher_limits
         if args.degree is not None and args.degree < 0:
             raise CommandError(f"--degree {args.degree} is negative")
         ks = [args.degree] if args.degree is not None else \
@@ -336,13 +330,21 @@ def cmd_holim(args, report):
         report.add_result("higher_limits", rows)
         return
     if args.holim_op == "e2":
-        try:
-            dims, lims = bk_assemble(diagram)
-        except NonVanishingLim2 as exc:
-            raise CommandError(f"{type(exc).__name__}: {exc}")
-        report.add_result("columns", {str(k): list(v) for k, v in lims.items()
-                                      if v != (0, 0)})
-        report.add_result("assembled_dims", dims)
+        report.add_result("assembled_dims", _assembled_dims(diagram, report))
+
+
+def _assembled_dims(diagram, report):
+    """The graded dimensions :func:`ecomu3.limits.bk_assemble` gives, after
+    reporting its nonzero (lim^0, lim^1) columns.  No validated diagram
+    has lim^2 != 0, so the error is for a diagram that escaped validation."""
+    from .limits import NonVanishingLim2, bk_assemble
+    try:
+        dims, lims = bk_assemble(diagram)
+    except NonVanishingLim2 as exc:
+        raise CommandError(f"NonVanishingLim2: {exc}")
+    report.add_result("columns", {str(k): list(v) for k, v in lims.items()
+                                  if v != (0, 0)})
+    return dims
 
 
 def _validated_diagram(args, report):
@@ -390,17 +392,11 @@ def _diagram_of_text(text):
 def cmd_ecom_u3(args, report):
     from . import published
     from .abelian import PoincareSeries
-    from .limits import NonVanishingLim2, bk_assemble
     if args.prime not in (2, 3):
         raise CommandError("ecom-u3 needs --prime 2 or 3")
     diagram = _validated_diagram(args, report)
-    try:
-        dims, lims = bk_assemble(diagram)
-    except NonVanishingLim2 as exc:
-        raise CommandError(f"NonVanishingLim2: fiber degree {exc.degree}")
-    dims = dims + [0] * (15 - len(dims))
-    report.add_result("columns", {str(k): list(v) for k, v in lims.items()
-                                  if v != (0, 0)})
+    dims = _assembled_dims(diagram, report)
+    dims += [0] * (15 - len(dims))
     report.add_result("graded_dimensions", dims,
                       provenance=diagram.provenance.get("dims", "computed"))
     series = PoincareSeries(dims)

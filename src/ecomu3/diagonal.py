@@ -9,8 +9,9 @@ U(3) when n = 3.
 
 The averaged diagonal descent monomials form a basis of the invariant ring;
 their degrees are controlled by the major index of the permutation and its
-inverse.  Verifying the multiplicative relations between them in exact
-rational arithmetic produces the ring presentation.
+inverse (the tests build that basis as an oracle).  Verifying the
+multiplicative relations between averaged classes in exact rational
+arithmetic produces the ring presentation.
 """
 
 from __future__ import annotations
@@ -101,54 +102,6 @@ class TensorSquare:
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous element, degrees {sorted(degs)}")
         return degs.pop()
-
-    def coordinates(self, elements):
-        """Stack elements as rational vectors over the tensor staircase basis."""
-        keys = sorted({k for el in elements for k in el})
-        return [[Fraction(el.get(k, 0)) for k in keys] for el in elements]
-
-
-def maj(perm):
-    """Major index: the sum of the 1-based descent positions."""
-    return sum(i + 1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])
-
-
-def descent_monomial(perm, n=None):
-    """The diagonal descent monomial of a permutation (0-based tuple).
-
-    Left factor: product of x_1..x_i over descents i of the inverse.
-    Right factor: product of y_{w(1)}..y_{w(j)} over descents j of w.
-    """
-    w = tuple(perm)
-    n = n or len(w)
-    inv = [0] * n
-    for i, wi in enumerate(w):
-        inv[wi] = i
-    ex = [0] * n
-    for i in range(n - 1):
-        if inv[i] > inv[i + 1]:
-            for t in range(i + 1):
-                ex[t] += 1
-    ey = [0] * n
-    for j in range(n - 1):
-        if w[j] > w[j + 1]:
-            for t in range(j + 1):
-                ey[w[t]] += 1
-    return {(tuple(ex), tuple(ey)): Fraction(1)}
-
-
-def descent_basis(n):
-    """(permutation, averaged descent class) for every group element."""
-    ts = TensorSquare(n)
-    out = []
-    for w in sorted(permutations(range(n))):
-        out.append((w, ts.averaging(ts.normal_form(descent_monomial(w, n)))))
-    return out
-
-
-def rank_over_q(ts, elements):
-    from .coinvariants import rational_rref
-    return len(rational_rref(ts.coordinates(elements)))
 
 
 class RingPresentation:

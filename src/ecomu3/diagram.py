@@ -168,7 +168,10 @@ class PosetDiagram:
 
 def _check_shape(obj):
     """Raise DiagramFormatError unless ``obj`` has every key and type that
-    :meth:`PosetDiagram.from_json` and :meth:`PosetDiagram.validate` read."""
+    :meth:`PosetDiagram.from_json` and :meth:`PosetDiagram.validate` read.
+    Only records that ``validate`` can check pass: each map and constraint
+    is on a strict containment, a constraint's degree is in 0..max_degree,
+    and no two maps share an arrow or two constraints an (arrow, degree)."""
     def need(ok, what):
         if not ok:
             raise DiagramFormatError(what)
@@ -193,6 +196,7 @@ def _check_shape(obj):
              f'"dims" of object {i} must be a list of integers >= 0')
     maps = obj.get("maps")
     need(isinstance(maps, list), '"maps" must be a list')
+    arrows = set()
     for rec in maps:
         need(isinstance(rec, dict) and is_int(rec.get("from"))
              and is_int(rec.get("to"))
@@ -202,8 +206,12 @@ def _check_shape(obj):
         need(isinstance(rec.get("degrees"), dict)
              and all(map(is_degree, rec["degrees"])),
              'each map needs "degrees", keyed by degrees "0", "1", ...')
+        arrow = rec["from"], rec["to"]
+        need(arrow not in arrows, f"two maps along {arrow}")
+        arrows.add(arrow)
     constraints = obj.get("constraints", [])
     need(isinstance(constraints, list), '"constraints" must be a list')
+    keys = set()
     for rec in constraints:
         need(isinstance(rec, dict)
              and all(is_int(rec.get(key)) for key in ("from", "to", "degree"))
@@ -212,6 +220,13 @@ def _check_shape(obj):
                      for pin in rec["pins"]),
              'each constraint needs integer "from", "to", "degree" and a '
              'list of "pins" with a "kind"')
+        key = rec["from"], rec["to"], rec["degree"]
+        need(key[:2] in poset.chains2,
+             f"constraint {key}: from and to must be a strict containment")
+        need(0 <= key[2] <= obj["max_degree"],
+             f"constraint {key}: degree outside 0..max_degree")
+        need(key not in keys, f"two constraints at {key}")
+        keys.add(key)
         for pin in rec["pins"]:
             if pin["kind"] == "rank":
                 need(is_int(pin.get("value")), 'a "rank" pin needs a "value"')

@@ -128,13 +128,6 @@ def symmetric_group(n):
     return FiniteGroup(els, gens, name=f"S{n}")
 
 
-@lru_cache(maxsize=None)
-def cyclic_group(n):
-    cycle = tuple(list(range(1, n)) + [0]) if n > 1 else (0,)
-    els = generate([cycle]) if n > 1 else [(0,)]
-    return FiniteGroup(els, [cycle] if n > 1 else [], name=f"C{n}")
-
-
 class GroupModule:
     """Z^rank with a group acting by invertible integer matrices."""
 
@@ -183,18 +176,6 @@ class GroupModule:
             m = self._matrices[cls[0]]
             out.append(sum(m[i, i] for i in range(self.rank)))
         return out
-
-    def invariants_rank(self):
-        """Rank of the fixed sublattice, by brute-force simultaneous kernel."""
-        from .linalg import kernel_basis
-        rows = []
-        for g in self.group.elements:
-            m = self.action_matrix(g)
-            for i in range(self.rank):
-                rows.append([m[i, j] - (1 if i == j else 0) for j in range(self.rank)])
-        if not rows:
-            return self.rank
-        return len(kernel_basis(IntMatrix.from_rows(rows)))
 
     def tensor(self, other):
         if other.group.descriptor() != self.group.descriptor():

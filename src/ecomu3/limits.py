@@ -74,17 +74,13 @@ from .matrix import EchelonBasis
 
 
 class NonVanishingLim2(RuntimeError):
-    """lim^2 != 0 in fiber degree ``degree``.
+    """lim^2 != 0 in some fiber degree.
 
     No diagram the CLI accepts raises it: ``PosetDiagram.validate`` requires
     (0,2)->(0,1,2) to be the identity, so the maps into (0,1,2) span it and
     lim^2 = 0.  Only a diagram passed to :func:`bk_assemble` without that
     validation, as in the tests, can reach it.
     """
-
-    def __init__(self, degree, dim):
-        super().__init__(f"lim^2 = {dim} in fiber degree {degree}")
-        self.degree = degree
 
 
 def complex_sizes(poset, dims):
@@ -219,7 +215,7 @@ def bk_assemble(diagram):
     for k in range(diagram.max_degree + 1):
         l0, l1, l2 = higher_limits(diagram, k)
         if l2 != 0:
-            raise NonVanishingLim2(k, l2)
+            raise NonVanishingLim2(f"lim^2 = {l2} in fiber degree {k}")
         lims[k] = (l0, l1)
     dims = []
     for n in range(diagram.max_degree + 2):

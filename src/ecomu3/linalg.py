@@ -1,5 +1,5 @@
-"""Exact linear algebra over Z: Smith normal form, kernels, solutions, and
-the one Hermite lattice (:class:`ColumnLattice`).
+"""Exact linear algebra over Z: Smith normal form, kernels, and the one
+Hermite lattice (:class:`ColumnLattice`).
 
 Everything here is arbitrary precision: matrix entries are Python ints, so
 Smith normal form pivoting can blow coefficients up without ever overflowing.
@@ -14,12 +14,12 @@ Conventions
 A matrix with ``rows`` rows and ``cols`` columns represents a homomorphism
 Z^cols -> Z^rows acting on column vectors.  The Smith decomposition follows
 ``A == U * D * V`` with U, V unimodular, so the integer kernel of A is spanned
-by the columns of V^-1 beyond the rank.  One elimination serves four
+by the columns of V^-1 beyond the rank.  One elimination serves three
 callers and tracks only the transforms each reads: ``smith_normal_form``
-all four, ``kernel_basis`` and ``kernel_and_factors`` V^-1 alone and
-``invariant_factors`` none.  ``kernel_and_factors`` returns the kernel and
-the diagonal of the same elimination, so a resolution step that needs a
-boundary's kernel gets its invariant factors for nothing.
+all four, ``kernel_and_factors`` V^-1 alone and ``invariant_factors``
+none.  ``kernel_and_factors`` returns the kernel and the diagonal of the
+same elimination, so a resolution step that needs a boundary's kernel gets
+its invariant factors for nothing.
 
 >>> A = IntMatrix.from_rows([[2, 0], [0, 3]])
 >>> smith_normal_form(A).invariant_factors
@@ -51,15 +51,6 @@ class SNFDecomposition:
         self.U, self.D, self.V = U, D, V
         self.Uinv, self.Vinv = Uinv, Vinv
         self.invariant_factors = invariant_factors
-
-    @property
-    def rank(self):
-        return len(self.invariant_factors)
-
-    def kernel_basis(self):
-        """Columns of V^-1 beyond the rank span ker(A) (a saturated sublattice)."""
-        r = self.rank
-        return [self.Vinv.column(j) for j in range(r, self.Vinv.cols)]
 
 
 class _Worker:
@@ -221,16 +212,6 @@ def invariant_factors(A):
     return [w.D[i][i] for i in range(r)]
 
 
-def _kernel_columns(w, r):
-    return [[row[j] for row in w.Vinv] for j in range(r, w.n)]
-
-
-def kernel_basis(A):
-    """Basis of ker(A): the columns of V^-1 beyond the rank (only V^-1 is
-    tracked).  The kernel of a 0 x n map is Z^n, that of an n x 0 map 0."""
-    return _kernel_columns(*_eliminate(A, full=False, vinv=True))
-
-
 def kernel_and_factors(A):
     """(kernel basis in column-Hermite form, nonzero invariant factors) of A,
     both from one elimination.
@@ -242,8 +223,8 @@ def kernel_and_factors(A):
     """
     w, r = _eliminate(A, full=False, vinv=True)
     lattice = ColumnLattice(A.cols)
-    for v in _kernel_columns(w, r):
-        lattice.add(v)
+    for j in range(r, w.n):
+        lattice.add([row[j] for row in w.Vinv])
     return lattice.hermite_basis(), [w.D[i][i] for i in range(r)]
 
 
@@ -327,19 +308,3 @@ def _xgcd(a, b):
         x, y, g = -x, -y, -g
     return g, x, y
 
-
-def solve(A, b):
-    """One integer solution x of A x = b, or None if there is none."""
-    if A.rows == 0:
-        return [0] * A.cols
-    snf = smith_normal_form(A)
-    c = snf.Uinv.apply(b)
-    y = [0] * A.cols
-    for i, d in enumerate(snf.invariant_factors):
-        if c[i] % d != 0:
-            return None
-        y[i] = c[i] // d
-    for i in range(len(snf.invariant_factors), A.rows):
-        if c[i] != 0:
-            return None
-    return snf.Vinv.apply(y) if A.cols else []

@@ -130,13 +130,6 @@ class IntMatrix:
             return IntMatrix(n, m, out)
         raise TypeError(other)
 
-    def apply(self, vec):
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ShapeMismatch(f"{len(vec)} != {self.cols}")
-        return [sum(self.entries[i * self.cols + j] * vec[j]
-                    for j in range(self.cols)) for i in range(self.rows)]
-
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
                          [self.entries[i * self.cols + j]

@@ -24,7 +24,6 @@ class PosetSn:
             for subset in combinations(range(n + 1), size):
                 objects.append(subset)
         self.objects = objects
-        self.index = {s: i for i, s in enumerate(objects)}
         # 2-chains: strict containments a < b, ordered by (target, source)
         self.chains2 = sorted(
             (a, b)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .abelian import cohomology_from_factors, p_primary
 from .linalg import ColumnLattice, invariant_factors, kernel_and_factors
-from .matrix import CompositionNonzero, IntMatrix, modp_rank
+from .matrix import CompositionNonzero, IntMatrix
 
 
 class ResolutionFailure(RuntimeError):
@@ -265,28 +265,20 @@ def _distinct_pairs(first):
             yield k, pair[0], pair[1]
 
 
-def _hom_differentials(resolution, module, max_degree):
-    """delta^1 .. delta^(max_degree + 1), what H^0 .. H^max_degree need.
+def group_cohomology_table(resolution, module, max_degree, prime=None):
+    """[H^0, ..., H^max_degree](G; M), p-primary parts when a prime is given.
 
-    Returns (first, deltas): first[d] is the first degree whose boundary
-    equals d_{d+1}, and deltas maps each such degree to its differential, so
-    each distinct differential is built once.
+    These need delta^1 .. delta^(max_degree + 1).  first[d] is the first
+    degree whose boundary equals d_{d+1}, so each distinct differential is
+    built and eliminated once, and each distinct consecutive pair multiplied
+    once.
     """
     if resolution.length < max_degree + 1:
         raise ResolutionFailure(
             f"resolution of length {resolution.length} cannot see degree {max_degree}")
     first = [resolution.first_equal_degree(k) for k in range(1, max_degree + 2)]
-    return first, {j: resolution.hom_differential(module, j)
-                   for j in dict.fromkeys(first)}
-
-
-def group_cohomology_table(resolution, module, max_degree, prime=None):
-    """[H^0, ..., H^max_degree](G; M), p-primary parts when a prime is given.
-
-    Each distinct differential is built and eliminated once, and each
-    distinct consecutive pair multiplied once.
-    """
-    first, deltas = _hom_differentials(resolution, module, max_degree)
+    deltas = {j: resolution.hom_differential(module, j)
+              for j in dict.fromkeys(first)}
     for k, a, b in _distinct_pairs(first):
         if not (deltas[b] * deltas[a]).is_zero():
             raise CompositionNonzero(f"delta^{k + 1} delta^{k} != 0")
@@ -297,11 +289,3 @@ def group_cohomology_table(resolution, module, max_degree, prime=None):
                                     factors[first[d - 1]] if d else [])
         table.append(p_primary(g, prime) if prime is not None else g)
     return table
-
-
-def group_cohomology_dims_modp(resolution, module, max_degree, p):
-    """[dim_Fp H^d(G; M (x) F_p) for d <= max_degree], reduced coefficients."""
-    first, deltas = _hom_differentials(resolution, module, max_degree)
-    ranks = {j: modp_rank(delta, p) for j, delta in deltas.items()}
-    return [deltas[j].cols - ranks[j] - (ranks[first[d - 1]] if d else 0)
-            for d, j in enumerate(first)]

@@ -248,22 +248,16 @@ class VariantLimits:
         self.lim0_bound = dims[0] + dims[1] + dims[2] - len(self.fixed)
         self.lim2 = 0 if modp_rank(kept[4, 6], p) == dims[6] else None
 
-    def __call__(self, maps):
+    def __call__(self, maps, chains3=None, route06=None):
         """(lim^0, lim^1, lim^2) once the degree's twelve maps are ``maps``.
 
-        Raises like :func:`higher_limits` when delta1 . delta0 != 0.
+        Raises like :func:`higher_limits` when delta1 . delta0 != 0 at one
+        of ``chains3`` (all 3-chains by default), or when m(0,6) is not
+        ``route06``, if given.
         """
-        return self._limits(maps, self.chains3)
-
-    def of_completion(self, maps):
-        """``self(maps)`` for maps returned by a :class:`Completion`, which
-        checks only the chains the completion's solve closes: (0,4,6) by
-        comparing m(0,6) with the block's route, the other two by their
-        products."""
-        return self._limits(maps, self.solved_through_pairs, self.route06)
-
-    def _limits(self, maps, chains3, route06=None):
         diagram, p, dims = self.diagram, self.p, self.dims
+        if chains3 is None:
+            chains3 = self.chains3
         for ab, m in self.kept.items():
             if maps[ab] is not m and not equal_modp(maps[ab], m, p):
                 raise ValueError(f"variant changes {diagram.arrow_name(*ab)}")
@@ -286,6 +280,13 @@ class VariantLimits:
         if lim2 is None:
             lim2 = dims[6] - top_image_dim(dims, lambda x, y: maps[x, y], p)
         return lim0, lim0 + lim2 - self.chi, lim2
+
+    def of_completion(self, maps):
+        """``self(maps)`` for maps returned by a :class:`Completion`, which
+        checks only the chains the completion's solve closes: (0,4,6) by
+        comparing m(0,6) with the block's route, the other two by their
+        products."""
+        return self(maps, self.solved_through_pairs, self.route06)
 
 
 def check_block(diagram, arrow, degree, rng_seed=0):

@@ -40,7 +40,7 @@ counting one).  The bundled searches take 16 (``flbar3`` mod 2), 22
 from __future__ import annotations
 
 from .abelian import AbelianGroup, FrozenRecord
-from .resolution import group_cohomology_dims_modp, group_cohomology_table
+from .resolution import group_cohomology_table
 
 WINDOW = 16            # total degrees stored on a page
 MAX_PAGE = 7           # the longest differential searched
@@ -161,7 +161,7 @@ class BigradedPage:
         }
 
 
-def cohomology_row(resolution, module, prime, mod_p, period):
+def cohomology_row(resolution, module, prime, period):
     """(free, tors) per column for one fiber summand, with a verified period.
 
     Columns beyond the directly computed range are extended by the verified
@@ -169,20 +169,16 @@ def cohomology_row(resolution, module, prime, mod_p, period):
     periodic cohomology.
     """
     reach = resolution.length - 1
-    if mod_p:
-        values = [(0, dim) for dim in
-                  group_cohomology_dims_modp(resolution, module, reach, prime)]
-    else:
-        values = []
-        for c, g in enumerate(group_cohomology_table(resolution, module, reach,
-                                                     prime=prime)):
-            for t in g.torsion:
-                if t != prime:
-                    raise RankTooLarge(
-                        f"non-elementary torsion {t} in H^{c}; transfer bound violated")
-            if c > 0 and g.free_rank:
-                raise RankTooLarge(f"free part in positive degree {c}")
-            values.append((g.free_rank, len(g.torsion)))
+    values = []
+    for c, g in enumerate(group_cohomology_table(resolution, module, reach,
+                                                 prime=prime)):
+        for t in g.torsion:
+            if t != prime:
+                raise RankTooLarge(
+                    f"non-elementary torsion {t} in H^{c}; transfer bound violated")
+        if c > 0 and g.free_rank:
+            raise RankTooLarge(f"free part in positive degree {c}")
+        values.append((g.free_rank, len(g.torsion)))
     for c in range(1, reach - period + 1):
         if values[c] != values[c + period]:
             raise RankTooLarge(
@@ -198,20 +194,19 @@ def cohomology_row(resolution, module, prime, mod_p, period):
 def serre_e2_over_bg(resolution, fiber_reps, prime):
     """E2 of the Serre spectral sequence of a fibration over BG.
 
-    ``fiber_reps`` maps fiber degree q to a list of summands; each summand is
-    a (module, mod_p) pair where mod_p selects reduced (F_p) coefficients.
+    ``fiber_reps`` maps fiber degree q to the list of its summands, each a
+    module with integral coefficients, read p-locally.
     """
     period = 4 if prime == 3 else 2
     cache = {}
     templates = {}
-    for q, summands in fiber_reps.items():
+    for q, modules in fiber_reps.items():
         rows = []
-        for module, mod_p in summands:
-            key = (module.name, mod_p)
-            if key not in cache:
-                cache[key] = cohomology_row(resolution, module, prime, mod_p,
-                                            period)
-            rows.append(cache[key])
+        for module in modules:
+            if module.name not in cache:
+                cache[module.name] = cohomology_row(resolution, module, prime,
+                                                    period)
+            rows.append(cache[module.name])
 
         def template(c, rows=tuple(rows)):
             free = tors = 0

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from ecomu3.abelian import (AbelianGroup, CompositionNonzero, PoincareSeries,
                             cohomology_at, cohomology_dim_modp, mod_p_series,
-                            p_primary, zero_map_from, zero_map_into)
-from ecomu3.linalg import IntMatrix, kernel_basis
+                            p_primary)
+from ecomu3.linalg import IntMatrix, smith_normal_form
 
 from cohomology_oracle import cohomology_by_kernel_coordinates
+from snf_oracle import kernel_columns
 
 
 def inflate(series, k):
@@ -67,7 +68,7 @@ def test_p_primary():
 
 
 def test_cohomology_zero_maps():
-    g = cohomology_at(zero_map_into(5), zero_map_from(5))
+    g = cohomology_at(IntMatrix.zero(5, 0), IntMatrix.zero(0, 5))
     assert g == AbelianGroup(free_rank=5)
 
 
@@ -103,7 +104,7 @@ def _complexes(draw):
     entries = st.integers(-4, 4)
     d_out = IntMatrix(rows, n, draw(st.lists(entries, min_size=rows * n,
                                              max_size=rows * n)))
-    kernel = kernel_basis(d_out)
+    kernel = kernel_columns(smith_normal_form(d_out))
     x = draw(st.lists(st.lists(entries, min_size=len(kernel),
                                max_size=len(kernel)),
                       min_size=cols, max_size=cols))
@@ -145,8 +146,6 @@ def test_series_algebra():
     assert ((a * b) * c).coefficients == (a * (b * c)).coefficients
     # the flag threefold staircase count in doubled degrees
     assert inflate(a * b, 2).coefficients == (1, 0, 2, 0, 2, 0, 1)
-    assert PoincareSeries([1, 2, 1]).is_palindromic()
-    assert not PoincareSeries([1, 2, 0, 1]).is_palindromic()
     with pytest.raises(ValueError):
         PoincareSeries([1, -1])
 

@@ -151,3 +151,36 @@ def test_only_the_src_trees_decide_whether_a_call_adds_to_a_file(
     (tmp_path / "change" / "src" / "new.py").write_text("")
     with pytest.raises(SystemExit, match="other trees"):
         bench_pairs.main(argv)
+
+
+def test_a_failed_run_keeps_the_finished_pairs(bench_pairs, tmp_path,
+                                               monkeypatch):
+    """A run that fails ends the call, and the file keeps the pairs before it."""
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    calls = []
+
+    def run_once(root, args):
+        calls.append(root.name)
+        if len(calls) == 3:
+            raise SystemExit("perfbench/run.py failed")
+        return _run(root.name, 0, 100, 0.01)["last_line"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match="failed"):
+        bench_pairs.main(["parent", "change", "--workload", "sweep", "--seed",
+                          "7", "--pairs", "10", "--label", "cut"])
+    data = json.loads((tmp_path / "BENCH_cut.json").read_text())
+    assert [(r["pair"], r["side"]) for r in data["runs"]] == [
+        (0, "parent"), (0, "change")]
+    assert data["summary"][SWEEP]["throughput_per_s"]["change_better_pairs"] \
+        == "0/1"
+
+
+def test_a_call_needs_a_pair(bench_pairs):
+    # with no pair there is no summary to print
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["parent", "change", "--workload", "sweep",
+                                "--seed", "7", "--pairs", "0", "--label", "x"])

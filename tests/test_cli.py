@@ -40,7 +40,9 @@ def test_snf_rejects_bad_input(capsys, matrix):
     assert err.startswith("error: bad matrix") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
+# argv lists that must each end in one error line; an upper-case name is a
+# file that bad_input_files writes
+BAD_INPUTS = [
     ["grpcoh", "S3", "trivial", "-1"],
     ["flag", "nf", "x1+"],
     ["flag", "kunneth", "7"],
@@ -85,15 +87,36 @@ def test_snf_rejects_bad_input(capsys, matrix):
     ["holim", "limits", "--prime", "3", "--diagram", "DIAGRAM_WRONG_DIMS"],
     # the variables are x1..x3 only
     ["flag", "nf", "y1"],
-])
-def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    # a fiber entry is a module name, not an object
+    ["serre", "CONFIG_OBJECT_ENTRY", "--prime", "2"],
+    # diagram records validate cannot check: an unknown object, a degree
+    # outside 0..max_degree, a repeated constraint key, a repeated arrow
+    ["holim", "validate", "--diagram", "DIAGRAM_CONSTRAINT_FROM_99"],
+    ["holim", "validate", "--diagram", "DIAGRAM_CONSTRAINT_DEGREE_MINUS_1"],
+    ["holim", "validate", "--diagram", "DIAGRAM_REPEATED_CONSTRAINT"],
+    ["holim", "validate", "--diagram", "DIAGRAM_REPEATED_MAP"],
+]
+
+
+def bad_input_files(directory):
+    """Write each file that BAD_INPUTS names into ``directory``; {name: path}."""
     flbar3 = {"name": "flbar3", "group": "S3", "group_order": 6,
               "top_dimension": 6, "fiber": {"0": ["trivial"], "2": ["standard"],
                                             "4": ["standard"], "6": ["sign"]}}
-    prime4, wrong_dims, zero_pin = (load_bundled(2).to_json() for _ in range(3))
+    (prime4, wrong_dims, zero_pin, from_99, degree_minus_1, repeated_pin,
+     repeated_map) = (load_bundled(2).to_json() for _ in range(7))
     prime4["prime"] = 4
     wrong_dims["dims"]["6"] = [0] * len(wrong_dims["dims"]["6"])
     zero_pin["constraints"][0]["pins"].append({"kind": "zero"})
+    from_99["constraints"][0]["from"] = 99
+    # checked against the zero matrix of degree 14, whose rank is 0
+    degree_minus_1["constraints"].append(
+        {"from": 0, "to": 3, "degree": -1, "pins": [{"kind": "rank", "value": 0}]})
+    # a record ahead of the (0)->(0,1) degree-0 record, which alone was read
+    assert repeated_pin["constraints"][0]["degree"] == 0
+    repeated_pin["constraints"].insert(0, {**repeated_pin["constraints"][0],
+                                           "pins": [{"kind": "rank", "value": 99}]})
+    repeated_map["maps"].insert(0, {**repeated_map["maps"][0], "degrees": {}})
     files = {
         "MALFORMED_JSON": '{"name": ',
         "EMPTY_OBJECT": "{}",
@@ -101,21 +124,39 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
         "FIBER_NOT_AN_OBJECT": '{"fiber": 3}',
         "UNKNOWN_MODULE": json.dumps({**flbar3, "fiber": {"0": ["nope"]}}),
         "SQUARE_IN_GROUP_ORDER": json.dumps({**flbar3, "group_order": 12}),
+        "CONFIG_OBJECT_ENTRY": json.dumps(
+            {**flbar3, "fiber": {"0": [{"name": "trivial"}]}}),
         "DIAGRAM_PRIME_4": json.dumps(prime4),
         "DIAGRAM_WRONG_DIMS": json.dumps(wrong_dims),
         "DIAGRAM_ZERO_PIN": json.dumps(zero_pin),
+        "DIAGRAM_CONSTRAINT_FROM_99": json.dumps(from_99),
+        "DIAGRAM_CONSTRAINT_DEGREE_MINUS_1": json.dumps(degree_minus_1),
+        "DIAGRAM_REPEATED_CONSTRAINT": json.dumps(repeated_pin),
+        "DIAGRAM_REPEATED_MAP": json.dumps(repeated_map),
         "BUNDLED_P3": json.dumps(load_bundled(3).to_json()),
     }
+    paths = {}
     for name, text in files.items():
-        (tmp_path / f"{name.lower()}.json").write_text(text)
-    paths = [str(tmp_path / f"{a.lower()}.json") if a in files else a
-             for a in argv]
-    code, out, err = run(capsys, *paths)
+        path = directory / f"{name.lower()}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    files = bad_input_files(tmp_path)
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 300, err[:300]
     if "DIAGRAM_ZERO_PIN" in argv:      # no pin kind "zero" is defined
         assert err.endswith(": unknown pin 'zero'\n"), err
+    if argv[-1].startswith(("DIAGRAM_CONSTRAINT", "DIAGRAM_REPEATED")):
+        assert err.startswith("error: bad diagram: "), err
+    if "CONFIG_OBJECT_ENTRY" in argv:
+        assert err == ("error: bad fibration config: fiber degree 0: each "
+                       "module must be a name\n"), err
 
 
 @pytest.mark.parametrize("poly, normal_form", [

@@ -7,6 +7,8 @@ from ecomu3.koszul import (koszul_homology_series, pu3_cohomology,
                            transgressive_quotient, u3t2_cohomology,
                            whitney_chern)
 
+from cohomology_oracle import is_palindromic
+
 
 def test_whitney_examples():
     c = whitney_chern([[1, 0], [1, 0], [0, 1]])
@@ -45,8 +47,8 @@ def test_u3t2_total_dimensions_and_top_class():
     # mod 2: four classes, mod 3: six classes; top class in degree 7
     for p, total in ((2, 4), (3, 6)):
         s = u3t2_cohomology(p)["series"]
-        assert s.total() == total
-        assert s.degree == 7
+        assert sum(s.coefficients) == total
+        assert len(s.coefficients) - 1 == 7
 
 
 def test_pu3():
@@ -55,7 +57,7 @@ def test_pu3():
     assert str(out2["presentation"]) == "F2[z3, z5]/(z3^2, z5^2)"
     out3 = pu3_cohomology(3)
     assert out3["series"].coefficients == published.PU3_SERIES[3].coefficients
-    assert out3["series"].is_palindromic(8)
+    assert is_palindromic(out3["series"], 8)
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -5,13 +5,14 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecomu3.linalg import (ColumnLattice, invariant_factors, kernel_basis,
-                           kernel_basis_reduced, smith_normal_form, solve)
+from ecomu3.linalg import (ColumnLattice, _eliminate, invariant_factors,
+                           kernel_basis_reduced, smith_normal_form)
 from ecomu3.matrix import (CompositionNonzero, EchelonBasis, IntMatrix,
                            ShapeMismatch, modp_kernel_basis, modp_rank,
                            modp_rref, modp_solve)
 
-from snf_oracle import det, invariant_factors_by_minors
+from snf_oracle import (apply, det, invariant_factors_by_minors,
+                        kernel_columns, solve)
 
 
 def check_snf(A):
@@ -30,8 +31,8 @@ def check_snf(A):
         for j in range(A.cols):
             want = f[i] if i == j and i < len(f) else 0
             assert s.D[i, j] == want
-    for v in s.kernel_basis():
-        assert all(x == 0 for x in A.apply(v))
+    for v in kernel_columns(s):
+        assert all(x == 0 for x in apply(A, v))
 
 
 def thousand_random_matrices():
@@ -56,11 +57,14 @@ def test_snf_matches_determinantal_divisors():
 
 def test_transform_free_paths_match_full_snf():
     # the same pivot sequence with fewer transforms tracked: identical factors
-    # and an identical kernel basis, not merely equivalent ones
+    # and, tracking V^-1 alone, an identical D and V^-1, not merely
+    # equivalent ones
     for A in thousand_random_matrices():
         s = smith_normal_form(A)
         assert invariant_factors(A) == s.invariant_factors
-        assert kernel_basis(A) == s.kernel_basis()
+        w, rank = _eliminate(A, full=False, vinv=True)
+        assert rank == len(s.invariant_factors)
+        assert w.D == s.D.to_lists() and w.Vinv == s.Vinv.to_lists()
 
 
 @settings(max_examples=120, deadline=None)
@@ -88,8 +92,8 @@ def test_determinism():
 
 def test_empty_matrix_conventions():
     # kernel of a 0 x n map is everything; image of an n x 0 map is 0
-    assert len(kernel_basis(IntMatrix.zero(0, 4))) == 4
-    assert kernel_basis(IntMatrix.zero(4, 0)) == []
+    assert len(kernel_columns(smith_normal_form(IntMatrix.zero(0, 4)))) == 4
+    assert kernel_columns(smith_normal_form(IntMatrix.zero(4, 0))) == []
     s = smith_normal_form(IntMatrix.zero(0, 0))
     assert s.invariant_factors == []
 
@@ -100,9 +104,9 @@ def test_solve():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = IntMatrix(m, n, [rng.randint(-6, 6) for _ in range(m * n)])
         x0 = [rng.randint(-5, 5) for _ in range(n)]
-        b = A.apply(x0)
+        b = apply(A, x0)
         x = solve(A, b)
-        assert x is not None and A.apply(x) == b
+        assert x is not None and apply(A, x) == b
     assert solve(IntMatrix.from_rows([[2]]), [1]) is None
 
 
@@ -111,11 +115,11 @@ def test_kernel_basis_reduced_spans_kernel():
     for _ in range(100):
         m, n = rng.randint(1, 5), rng.randint(1, 6)
         A = IntMatrix(m, n, [rng.randint(-4, 4) for _ in range(m * n)])
-        raw = kernel_basis(A)
+        raw = kernel_columns(smith_normal_form(A))
         red = kernel_basis_reduced(A)
         assert len(red) == len(raw)
         for v in red:
-            assert all(x == 0 for x in A.apply(v))
+            assert all(x == 0 for x in apply(A, v))
         # the reduced basis generates the raw one over Z
         if red:
             K = IntMatrix.from_columns(red, rows=n)
@@ -176,10 +180,10 @@ def test_modp_ops():
     assert modp_rank(A, 2) == 2
     for p in (2, 3, 5):
         for v in modp_kernel_basis(A, p):
-            assert all(x % p == 0 for x in A.apply(v))
+            assert all(x % p == 0 for x in apply(A, v))
     x = modp_solve(A, [1, 0], 5)
     assert x is not None and all((a - b) % 5 == 0
-                                 for a, b in zip(A.apply(x), [1, 0]))
+                                 for a, b in zip(apply(A, x), [1, 0]))
     assert modp_solve(IntMatrix.from_rows([[2, 4]]), [1], 2) is None
 
 

@@ -9,10 +9,11 @@ route of ``cohomology_oracle``, not through the deduplicated tables.
 
 import pytest
 
-from cohomology_oracle import invariants_degree_zero, periodicity_verify
+from cohomology_oracle import (cyclic_group, invariants_degree_zero,
+                               periodicity_verify)
 from ecomu3 import linalg, published
 from ecomu3.abelian import AbelianGroup
-from ecomu3.groups import cyclic_group, symmetric_group, trivial_module
+from ecomu3.groups import symmetric_group, trivial_module
 from ecomu3.linalg import invariant_factors
 from ecomu3.matrix import IntMatrix
 from ecomu3.resolution import (FreeResolution, ResolutionFailure, free_resolution,

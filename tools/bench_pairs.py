@@ -13,11 +13,12 @@ Both sides run with ``PYTHONDONTWRITEBYTECODE=1``: otherwise a run's fresh
 set-up processes would read whatever bytecode cache an earlier run left, and
 ``setup_s`` would depend on the caller's environment.
 
-The result goes to ``BENCH_<label>.json`` in the current directory: the
-environment, each side's commit and a digest of its ``src/`` tree, every
-run's last JSON line with the call (run of this script) that made it, and
-per workload, seed and call and per end-to-end metric each side's median
-and quartiles, the pairs the change wins (by the metric's ``better``
+The result goes to ``BENCH_<label>.json`` in the current directory,
+rewritten after every pair, so a failed run (which ends the call) keeps the
+pairs finished before it.  It holds the environment, each side's commit and
+a digest of its ``src/`` tree, every run's last JSON line with the call (run
+of this script) that made it, and per workload, seed and call and per
+end-to-end metric each side's median and quartiles, the pairs the change wins (by the metric's ``better``
 direction in the change's ``BENCHMARK.json``) and the ratio of the medians,
 with ``past_bound`` true where that ratio is worse than the metric's
 ``bound`` (each such metric is also printed).  If the file exists for the
@@ -153,7 +154,10 @@ def parse_args(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--label", required=True)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
 
 
 def main(argv=None):
@@ -178,6 +182,7 @@ def main(argv=None):
                    "PYTHONDONTWRITEBYTECODE": "1"}
     data["order"] = "even pairs run the parent first, odd pairs the change"
     call = 1 + max((r["call"] for r in data["runs"]), default=-1)
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
@@ -188,9 +193,9 @@ def main(argv=None):
             metric = line["metrics"].get("throughput_per_s", {}).get("value")
             print(f"pair {pair} {side}: throughput_per_s {metric}, "
                   f"failed {line['failed']}", file=sys.stderr)
-    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    data["summary"] = summarize(data["runs"], spec)
-    out_path.write_text(json.dumps(data, indent=1) + "\n")
+        # after every pair: a run that fails later keeps the finished pairs
+        data["summary"] = summarize(data["runs"], spec)
+        out_path.write_text(json.dumps(data, indent=1) + "\n")
     print(json.dumps(data["summary"][group_name(args.workload, args.seed,
                                                  call)], indent=1))
     for line in past_bound_lines(data["summary"]):
