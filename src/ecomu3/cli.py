@@ -117,7 +117,10 @@ def load_config(name_or_path):
 
 
 def _check_config(config):
-    """Refuse a fibration config without the keys and types ``serre`` reads."""
+    """Refuse a fibration config without the keys and types ``serre`` reads,
+    or with a top dimension past what a page can decide."""
+    from .serre import WINDOW
+
     def need(ok, what):
         if not ok:
             raise CommandError(f"bad fibration config: {what}")
@@ -135,6 +138,11 @@ def _check_config(config):
     for key, least in (("top_dimension", 0), ("group_order", 1)):
         need(type(config.get(key)) is int and config[key] >= least,
              f'"{key}" must be an integer >= {least}')
+    # a move out of total degree n lands in degree n + 1, so H^n needs
+    # degree n + 1 on the page, which stores degrees 0..WINDOW
+    need(config["top_dimension"] <= WINDOW - 1,
+         f'"top_dimension" must be at most {WINDOW - 1}: a page stores total '
+         f'degrees 0..{WINDOW}, and H^n needs degree n + 1')
 
 
 def fiber_reps_from_config(config):
@@ -401,8 +409,10 @@ def cmd_ecom_u3(args, report):
                       provenance=diagram.provenance.get("dims", "computed"))
     series = PoincareSeries(dims)
     report.add_result("poincare_series", list(series.coefficients))
-    published_table = published.ECOM_U3[args.prime]
-    deviations = {d: dims[d] for d in range(15) if dims[d] != published_table[d]}
+    # every printed degree is compared; the published table and the rational
+    # series are 0 past their ends
+    published_table = PoincareSeries(published.ECOM_U3[args.prime])
+    deviations = {d: v for d, v in enumerate(dims) if v != published_table[d]}
     allowed = published.ECOM_U3_FORCED_DEVIATIONS[args.prime]
     unexpected = {d: v for d, v in deviations.items() if allowed.get(d) != v}
     for d, v in deviations.items():
@@ -417,7 +427,7 @@ def cmd_ecom_u3(args, report):
     report.add_result("published_match", not deviations, provenance="[PAPER]")
     # rational consistency: mod-p dimensions bound the rational ones below
     rational = published.RATIONAL_SERIES
-    ok = dims[0] == 1 and all(dims[d] >= rational[d] for d in range(15))
+    ok = dims[0] == 1 and all(v >= rational[d] for d, v in enumerate(dims))
     if not ok:
         raise CommandError("mod-p dimensions dip below the rational series")
     report.add_result("rational_consistency", True, provenance="[DERIVED]")

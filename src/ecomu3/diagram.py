@@ -41,10 +41,6 @@ class PosetDiagram:
         self.prime = prime
         self.max_degree = max_degree
         self.dims = {int(i): list(v) for i, v in dims.items()}
-        for i in range(len(self.poset)):
-            pad = max_degree + 1 - len(self.dims[i])
-            if pad > 0:
-                self.dims[i] = self.dims[i] + [0] * pad
         self.maps = maps      # {(a, b): {degree: IntMatrix}}
         self.provenance = provenance or {}
         self.constraints = constraints or {}
@@ -171,7 +167,8 @@ def _check_shape(obj):
     :meth:`PosetDiagram.from_json` and :meth:`PosetDiagram.validate` read.
     Only records that ``validate`` can check pass: each map and constraint
     is on a strict containment, a constraint's degree is in 0..max_degree,
-    and no two maps share an arrow or two constraints an (arrow, degree)."""
+    each object's ``dims`` list has one entry per degree 0..max_degree, and
+    no two maps share an arrow or two constraints an (arrow, degree)."""
     def need(ok, what):
         if not ok:
             raise DiagramFormatError(what)
@@ -194,6 +191,8 @@ def _check_shape(obj):
     for i, v in dims.items():
         need(isinstance(v, list) and all(is_int(e) and e >= 0 for e in v),
              f'"dims" of object {i} must be a list of integers >= 0')
+        need(len(v) == obj["max_degree"] + 1,
+             f'"dims" of object {i} must have max_degree + 1 entries')
     maps = obj.get("maps")
     need(isinstance(maps, list), '"maps" must be a list')
     arrows = set()

@@ -139,32 +139,19 @@ class BaseQuotient:
         return out
 
     def add_relation(self, poly):
-        poly = self.reduce(poly)
-        if not poly:
-            return
-        degs = {sum(e) for e in poly}
-        if degs == {1}:
+        """Add a nonzero relation, reduced modulo those before it.  A linear
+        one eliminates a variable; it must come before any other relation,
+        which holds as only c_1 is linear and it is transgressed first."""
+        if {sum(e) for e in poly} == {1}:
             # eliminate the lexicographically last variable present
             var = max(j for e in poly for j in range(self.k) if e[j])
             lead = poly[tuple(1 if j == var else 0 for j in range(self.k))]
             inv = pow(lead, -1, self.p)
-            form = {}
-            for e, c in poly.items():
-                if e[var]:
-                    continue
-                form[e] = (-c * inv) % self.p
-            self.subs[var] = form
-            # re-substitute existing relations
-            old = self.relations
-            self.relations = []
-            self._slices = {}
-            for rel in old:
-                r = self.substitute(rel)
-                if r:
-                    self.relations.append(r)
+            self.subs[var] = {e: (-c * inv) % self.p
+                              for e, c in poly.items() if not e[var]}
         else:
             self.relations.append(poly)
-            self._slices = {}
+        self._slices = {}
 
     def hilbert_series(self, top):
         coeffs = []

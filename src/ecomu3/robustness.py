@@ -11,19 +11,19 @@ and recomputes (lim^0, lim^1).  The claim under test: the values never move.
 The variants of a map m of rank r are B G S with G in GL_r(F_p), from one
 elimination of m: B is its pivot columns and S its reduced echelon form.
 
-The recomputation is exact but incremental.  It uses the formulas of
-:mod:`ecomu3.limits`: lim^0 is the kernel of the hexagon of the six lower
-maps, and lim^2 the cokernel of the maps into (0,1,2).  A variant changes only
-the varied arrow among the lower maps, so the hexagon rows it cannot reach
-are eliminated once per (arrow, degree) and each variant inserts only the
-rows of the one pair its arrow enters (see :class:`VariantLimits`).  The
-completion, too, builds once per block what the varied arrow cannot change
-(:class:`Completion`).  The completion sets m(0,6) = m(3,6) m(0,3),
-m(1,6) = m(3,6) m(1,3) and m(2,6) = m(2,4) with m(4,6) the identity, so the
-chains (0,3,6), (1,3,6) and (2,4,6) commute by construction; a variant
-checks only the other three, the ones its F_p solve closes.  Of those,
-(0,4,6) has both route arrows kept, so its route is multiplied out once per
-block and each variant's m(0,6) is compared with it.
+The recomputation is exact but incremental, one :class:`Block` per (arrow,
+degree).  It uses the formulas of :mod:`ecomu3.limits`: lim^0 is the kernel
+of the hexagon of the six lower maps, and lim^2 the cokernel of the maps into
+(0,1,2).  A variant changes only the varied arrow among the lower maps, so
+the hexagon rows it cannot reach are eliminated once per block and each
+variant inserts only the rows of the one pair its arrow enters.  The block
+refuses a diagram whose m(4,6) is not the identity mod p, as validation
+does; that m(4,6) alone spans (0,1,2), so lim^2 = 0 for every variant.  The
+completion sets m(0,6) = m(3,6) m(0,3), m(1,6) = m(3,6) m(1,3) and
+m(2,6) = m(2,4), so the chains (0,3,6), (1,3,6) and (2,4,6) commute by
+construction; a variant checks only the other three, the ones its F_p solve
+closes: (0,4,6) by comparing m(0,6) with m(0,4), and (1,5,6) and (2,5,6) by
+their products.
 """
 
 from __future__ import annotations
@@ -33,15 +33,12 @@ from itertools import product as iproduct
 
 from .diagram import equal_modp
 from .limits import (PAIRS, check_complex, complex_sizes, hexagon_half,
-                     hexagon_rows, higher_limits, top_image_dim)
+                     hexagon_rows, higher_limits)
 from .matrix import EchelonBasis, IntMatrix, modp_rank, modp_rref
 
 # the maps out of (0) are pinned canonical inclusions (their twist freedom is
 # a basis gauge); the other four lower arrows are genuinely under-determined
 LOWER_ARROWS = [(1, 3), (2, 4), (1, 5), (2, 5)]
-# the arrows a Completion re-solves: with the varied arrow, the only ones a
-# variant can change
-COMPLETED_ARROWS = [(3, 6), (5, 6), (0, 6), (1, 6), (2, 6)]
 EXHAUSTIVE_LIMIT = 2000
 SAMPLE_SIZE = 200
 
@@ -103,50 +100,50 @@ def kernel_image_variants(m, p, rng):
     return out, exhaustive
 
 
-class Completion:
-    """The functorial completions of one (arrow, degree) block.
+def _mod(m, p):
+    return IntMatrix(m.rows, m.cols, [e % p for e in m.entries])
 
-    Calling it with a variant of ``arrow`` re-solves the upper maps, or
-    returns None when the variant cannot be made functorial.  The unknowns
-    are the map (1,2) -> (0,1,2) and the free columns of (0,1) -> (0,1,2); per
-    output row they satisfy one joint linear system (the (2,4)-composite
-    condition and the two-route condition through the one-element subsets),
-    which is solved exactly over F_p.  Whatever the varied arrow cannot
-    change (dims, system rows, right-hand sides, the identity (0,2) ->
-    (0,1,2)) is built once here.
 
-    The maps (0) -> (0,1,2) and (1) -> (0,1,2) are defined as the composites
-    through (0,1), and (2) -> (0,1,2) as the one through (0,2), so the
-    chains (0,3,6), (1,3,6) and (2,4,6) commute by construction.  The
-    ``solved_chains`` are the other three: the solve closes them, and
-    :meth:`VariantLimits.of_completion` checks them ((0,4,6) against a
-    route computed once per block).
+class Block:
+    """The compatible variants of one (arrow, degree) block, and their limits.
+
+    Whatever the varied arrow cannot change is built once here: the dims,
+    the completion's system rows and right-hand sides, the hexagon rows of
+    the two pairs the arrow does not enter, and the half of its own pair's
+    rows that the kept arrow into that pair gives.  The completion keeps
+    m(4,6), which must be the identity mod p, as :meth:`PosetDiagram.validate`
+    requires; then the maps into (0,1,2) span it and lim^2 = 0 for every
+    variant, so lim^1 = lim^0 - (n0 - n1 + n2).
     """
-
-    solved_chains = ((0, 4, 6), (1, 5, 6), (2, 5, 6))
 
     def __init__(self, diagram, arrow, k):
         self.p = p = diagram.prime
-        self.arrow = arrow
-        self.maps = {ab: diagram.matrix(*ab, k)
-                     for ab in diagram.poset.chains2}
-        dv = [diagram.dim(i, k) for i in range(7)]
-        self.dv = dv
+        self.k = k
+        self.arrow = a, b = arrow
+        poset = diagram.poset
+        self.maps = maps = {ab: diagram.matrix(*ab, k) for ab in poset.chains2}
+        self.dv = dv = [diagram.dim(i, k) for i in range(len(poset))]
+        if not equal_modp(maps[4, 6], IntMatrix.identity(dv[6]), p):
+            raise ValueError(f"{diagram.arrow_name(4, 6)} is not the identity "
+                             f"in degree {k}")
         self.nb = nb = dv[3] - dv[0]
         self.n_unknown = dv[5] + nb
-        a3 = self.maps[0, 4]
         # b1 = [a3 | free columns]: its fixed part, row-major
         self.b1_base = [e for i in range(dv[6])
-                        for e in a3.row(i) + [0] * nb]
-        # b2 is the identity; the diagram's own matrix is kept when it is one,
-        # so that a caller can compare the kept arrows by identity
-        identity = IntMatrix.identity(dv[6])
-        if not equal_modp(self.maps[4, 6], identity, p):
-            self.maps[4, 6] = identity
-        self.top = None if arrow in ((2, 4), (2, 5)) else self._top(self.maps)
-        self.rhs = None if arrow == (1, 3) else self._rhs(self.maps)
+                        for e in maps[0, 4].row(i) + [0] * nb]
+        self.top = None if arrow in ((2, 4), (2, 5)) else self._top(maps)
+        self.rhs = None if arrow == (1, 3) else self._rhs(maps)
         self.bottom = (None if arrow in ((1, 3), (1, 5))
-                       else self._bottom(self.maps, self.rhs))
+                       else self._bottom(maps, self.rhs))
+        n0, n1, n2 = complex_sizes(poset, dv)
+        self.chi = n0 - n1 + n2
+        self.fixed = EchelonBasis(p)
+        self.fixed.insert_all(hexagon_rows(
+            dv, lambda x, y: maps[x, y], p,
+            [pair for pair in PAIRS if pair[0] != b]))
+        other = next(i for i in PAIRS[b - 3][1:] if i != a)
+        self.kept_half = hexagon_half(dv, other, b, maps[other, b], p)
+        self.lim0_bound = dv[0] + dv[1] + dv[2] - len(self.fixed)
 
     def _top(self, maps):
         """(b3 row) . a6 column j = a4[i, j]: one system row per j, with the
@@ -170,8 +167,18 @@ class Completion:
         return [[-e % p for e in a5.column(j)] + a2.column(j)[dv0:] + rhs[j]
                 for j in range(self.dv[1])]
 
-    def __call__(self, v):
-        """The degree's twelve maps with ``arrow`` replaced by v, or None."""
+    def complete(self, v):
+        """The degree's twelve maps with ``arrow`` replaced by v and the upper
+        maps re-solved, or None when v cannot be made functorial.
+
+        The unknowns are the map (1,2) -> (0,1,2) and the free columns of
+        (0,1) -> (0,1,2); per output row they satisfy one joint linear system
+        (the (2,4)-composite condition and the two-route condition through
+        the one-element subsets), which is solved exactly over F_p.  The maps
+        (0) -> (0,1,2) and (1) -> (0,1,2) are the composites through (0,1),
+        and (2) -> (0,1,2) the one through (0,2), so the chains (0,3,6),
+        (1,3,6) and (2,4,6) commute by construction.
+        """
         p, dv, n_unknown = self.p, self.dv, self.n_unknown
         maps = dict(self.maps)
         maps[self.arrow] = v
@@ -202,91 +209,32 @@ class Completion:
         maps[2, 6] = maps[2, 4]          # b2 . a4 with b2 the identity
         return maps
 
+    def __call__(self, v):
+        """(lim^0, lim^1) of v's completion, or None when it has none.
 
-def _mod(m, p):
-    return IntMatrix(m.rows, m.cols, [e % p for e in m.entries])
-
-
-class VariantLimits:
-    """Higher limits of the compatible variants of one (arrow, degree) block.
-
-    A variant changes only ``arrow`` and COMPLETED_ARROWS, and lim^0 is the
-    kernel of the hexagon H, which reads the six lower maps (see
-    :mod:`ecomu3.limits`).  So the rows of H at the two pairs ``arrow`` does
-    not enter are eliminated once, and so is the half of its own pair's rows
-    that the kept arrow into that pair gives; a variant inserts only that
-    pair's rows, into a copy of the fixed basis.  When the kept m(4,6) alone
-    spans (0,1,2), as in every diagram ``validate`` accepts, lim^2 = 0 for
-    every variant; otherwise each variant ranks the image in (0,1,2).
-    lim^1 = lim^0 + lim^2 - (n0 - n1 + n2).
-    """
-
-    solved_through_pairs = tuple(c for c in Completion.solved_chains
-                                 if c != (0, 4, 6))
-
-    def __init__(self, diagram, arrow, degree):
-        self.diagram, self.degree = diagram, degree
-        self.p = p = diagram.prime
-        self.arrow = a, b = arrow
-        poset = diagram.poset
-        self.chains3 = poset.chains3
-        changed = {arrow, *COMPLETED_ARROWS}
-        self.kept = kept = {ab: diagram.matrix(*ab, degree)
-                            for ab in poset.chains2 if ab not in changed}
-        # both arrows of the route (0) -> (0,2) -> (0,1,2) are kept, so the
-        # route is the same for every variant: multiply it out once
-        self.route06 = _mod(kept[4, 6] * kept[0, 4], p)
-        self.dims = dims = [diagram.dim(i, degree) for i in range(len(poset))]
-        n0, n1, n2 = complex_sizes(poset, dims)
-        self.chi = n0 - n1 + n2
-        self.fixed = EchelonBasis(p)
-        self.fixed.insert_all(hexagon_rows(
-            dims, lambda x, y: kept[x, y], p,
-            [pair for pair in PAIRS if pair[0] != b]))
-        other = next(i for i in PAIRS[b - 3][1:] if i != a)
-        self.kept_half = hexagon_half(dims, other, b, kept[other, b], p)
-        self.lim0_bound = dims[0] + dims[1] + dims[2] - len(self.fixed)
-        self.lim2 = 0 if modp_rank(kept[4, 6], p) == dims[6] else None
-
-    def __call__(self, maps, chains3=None, route06=None):
-        """(lim^0, lim^1, lim^2) once the degree's twelve maps are ``maps``.
-
-        Raises like :func:`higher_limits` when delta1 . delta0 != 0 at one
-        of ``chains3`` (all 3-chains by default), or when m(0,6) is not
-        ``route06``, if given.
+        Raises like :func:`higher_limits` when delta1 . delta0 != 0 at one of
+        the chains the completion's solve closes: (0,4,6), which with m(4,6)
+        the identity commutes iff m(0,6) = m(0,4), and (1,5,6) and (2,5,6),
+        which are multiplied out.
         """
-        diagram, p, dims = self.diagram, self.p, self.dims
-        if chains3 is None:
-            chains3 = self.chains3
-        for ab, m in self.kept.items():
-            if maps[ab] is not m and not equal_modp(maps[ab], m, p):
-                raise ValueError(f"variant changes {diagram.arrow_name(*ab)}")
-        if route06 is not None and not equal_modp(maps[0, 6], route06, p):
-            raise AssertionError(
-                f"delta1 . delta0 != 0 in degree {self.degree}")
-        check_complex(lambda a, b: maps[a, b], chains3, self.degree, p)
+        maps = self.complete(v)
+        if maps is None:
+            return None
+        p, k, dv = self.p, self.k, self.dv
+        if not equal_modp(maps[0, 6], maps[0, 4], p):
+            raise AssertionError(f"delta1 . delta0 != 0 in degree {k}")
+        check_complex(lambda a, b: maps[a, b], ((1, 5, 6), (2, 5, 6)), k, p)
         # lim^0 is at most the fixed rows' corank, and no row lowers it below 0
         lim0 = self.lim0_bound
         if lim0:
             a, b = self.arrow
             basis = self.fixed.copy()
-            for row, kept in zip(hexagon_half(dims, a, b, maps[a, b], p),
-                                 self.kept_half):
+            for row, kept in zip(hexagon_half(dv, a, b, v, p), self.kept_half):
                 row.update(kept)
                 lim0 -= basis.insert(row)
                 if not lim0:
                     break
-        lim2 = self.lim2
-        if lim2 is None:
-            lim2 = dims[6] - top_image_dim(dims, lambda x, y: maps[x, y], p)
-        return lim0, lim0 + lim2 - self.chi, lim2
-
-    def of_completion(self, maps):
-        """``self(maps)`` for maps returned by a :class:`Completion`, which
-        checks only the chains the completion's solve closes: (0,4,6) by
-        comparing m(0,6) with the block's route, the other two by their
-        products."""
-        return self(maps, self.solved_through_pairs, self.route06)
+        return lim0, lim0 - self.chi
 
 
 def check_block(diagram, arrow, degree, rng_seed=0):
@@ -306,20 +254,16 @@ def check_block(diagram, arrow, degree, rng_seed=0):
         return None
     rng = random.Random(rng_seed + 1000 * degree)
     variants, exhaustive = kernel_image_variants(m, p, rng)
+    block = Block(diagram, arrow, degree)
     baseline = higher_limits(diagram, degree)[:2]
-    complete = Completion(diagram, arrow, degree)
-    variant_limits = VariantLimits(diagram, arrow, degree)
     compatible = 0
     stable = True
     for v in variants:
-        if v == m:
-            compatible += 1
-            continue
-        completion = complete(v)
-        if completion is None:
+        limits = baseline if v == m else block(v)
+        if limits is None:
             continue
         compatible += 1
-        if variant_limits.of_completion(completion)[:2] != baseline:
+        if limits != baseline:
             stable = False
             break
     return {"baseline": baseline, "variants": len(variants),

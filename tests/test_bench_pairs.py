@@ -87,6 +87,40 @@ def test_summary_flags_metrics_past_their_bound(bench_pairs):
                      "bound"]
 
 
+def test_claim_rule_needs_nine_pairs_in_ten_and_a_gap_past_the_spread(
+        bench_pairs):
+    """The parent runs 100..109 in both metrics (q3 - q1 = 4.5; exact in
+    binary, so the edge case is exact).  Each seed is one change, better by
+    ``gap`` in every pair but the ``ties`` last ones, which tie: higher
+    throughput and lower op_s_mid."""
+    cases = {1: (10, 0, True),      # 10/10, gap 10 > 4.5
+             2: (10, 1, True),      # 9/10: a tie counts for neither side
+             3: (10, 2, False),     # 8/10
+             4: (4.5, 0, False),    # 10/10, but the gap is the spread itself
+             5: (5, 0, True)}       # 10/10, just past the spread
+    runs = []
+    for seed, (gap, ties, _) in cases.items():
+        for pair in range(10):
+            step = 0 if pair >= 10 - ties else gap
+            runs += [_run("parent", pair, 100 + pair, 100 + pair, seed=seed),
+                     _run("change", pair, 100 + pair + step,
+                          100 + pair - step, seed=seed)]
+    runs.append(_run("parent", 0, 100, 0.1, seed=6))     # no change side
+    summary = bench_pairs.summarize(runs, SPEC)
+    for seed, (gap, ties, met) in cases.items():
+        group = summary[f"sweep, seed {seed}, call 0"]
+        for name in ("throughput_per_s", "op_s_mid"):
+            assert group[name]["change_better_pairs"] == f"{10 - ties}/10"
+            assert group[name]["claim_rule_met"] is met, (seed, name)
+    assert "claim_rule_met" not in summary["sweep, seed 6, call 0"][
+        "throughput_per_s"]
+    # a change worse in every pair meets neither condition
+    assert not bench_pairs.claim_rule_met(
+        0, 10, {"median": 100, "q1": 98, "q3": 102}, {"median": 50}, True)
+    assert not bench_pairs.claim_rule_met(
+        0, 0, {"median": 100, "q1": 100, "q3": 100}, {"median": 200}, True)
+
+
 def test_two_seeds_keep_separate_quartiles(bench_pairs):
     """Runs of one workload under two seeds, taken while the machine ran at
     two speeds, are two groups: pooled, their quartiles would span both."""

@@ -95,6 +95,10 @@ BAD_INPUTS = [
     ["holim", "validate", "--diagram", "DIAGRAM_CONSTRAINT_DEGREE_MINUS_1"],
     ["holim", "validate", "--diagram", "DIAGRAM_REPEATED_CONSTRAINT"],
     ["holim", "validate", "--diagram", "DIAGRAM_REPEATED_MAP"],
+    # a "dims" list shorter than max_degree + 1, which was padded with zeros
+    ["holim", "validate", "--diagram", "DIAGRAM_HUGE_MAX_DEGREE"],
+    # H^18(BS3) = Z/2 at p=2, past the page's window
+    ["serre", "CONFIG_TOP_PAST_WINDOW", "--prime", "2"],
 ]
 
 
@@ -104,8 +108,10 @@ def bad_input_files(directory):
               "top_dimension": 6, "fiber": {"0": ["trivial"], "2": ["standard"],
                                             "4": ["standard"], "6": ["sign"]}}
     (prime4, wrong_dims, zero_pin, from_99, degree_minus_1, repeated_pin,
-     repeated_map) = (load_bundled(2).to_json() for _ in range(7))
+     repeated_map, huge_max_degree) = (load_bundled(2).to_json()
+                                       for _ in range(8))
     prime4["prime"] = 4
+    huge_max_degree["max_degree"] = 2_000_000
     wrong_dims["dims"]["6"] = [0] * len(wrong_dims["dims"]["6"])
     zero_pin["constraints"][0]["pins"].append({"kind": "zero"})
     from_99["constraints"][0]["from"] = 99
@@ -133,6 +139,10 @@ def bad_input_files(directory):
         "DIAGRAM_CONSTRAINT_DEGREE_MINUS_1": json.dumps(degree_minus_1),
         "DIAGRAM_REPEATED_CONSTRAINT": json.dumps(repeated_pin),
         "DIAGRAM_REPEATED_MAP": json.dumps(repeated_map),
+        "DIAGRAM_HUGE_MAX_DEGREE": json.dumps(huge_max_degree),
+        "CONFIG_TOP_PAST_WINDOW": json.dumps(
+            {"name": "bs3", "group_order": 6, "top_dimension": 20,
+             "fiber": {"0": ["trivial"]}}),
         "BUNDLED_P3": json.dumps(load_bundled(3).to_json()),
     }
     paths = {}
@@ -152,8 +162,14 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     assert len(err) < 300, err[:300]
     if "DIAGRAM_ZERO_PIN" in argv:      # no pin kind "zero" is defined
         assert err.endswith(": unknown pin 'zero'\n"), err
-    if argv[-1].startswith(("DIAGRAM_CONSTRAINT", "DIAGRAM_REPEATED")):
+    if argv[-1].startswith(("DIAGRAM_CONSTRAINT", "DIAGRAM_REPEATED",
+                            "DIAGRAM_HUGE")):
         assert err.startswith("error: bad diagram: "), err
+    if "DIAGRAM_HUGE_MAX_DEGREE" in argv:
+        assert "must have max_degree + 1 entries" in err, err
+    if "CONFIG_TOP_PAST_WINDOW" in argv:
+        assert err.startswith('error: bad fibration config: "top_dimension" '
+                              'must be at most 15'), err
     if "CONFIG_OBJECT_ENTRY" in argv:
         assert err == ("error: bad fibration config: fiber degree 0: each "
                        "module must be a name\n"), err
@@ -455,15 +471,22 @@ def test_serre_bundled_configs(capsys):
 
 
 def test_serre_loosened_bound_ambiguous(tmp_path, capsys):
+    """flbar3 with its top dimension loosened: up to 15 the search still has
+    one answer.  From 16 on no slot would have to die, so the search was
+    unconstrained and ambiguous; such a top dimension is refused, as the
+    page holds total degrees 0..16 and H^n needs degree n + 1."""
     config = {"name": "loose", "group": "S3", "group_order": 6,
-              "top_dimension": 20,
               "fiber": {"0": ["trivial"], "2": ["standard"],
                         "4": ["standard"], "6": ["sign"]}}
     path = tmp_path / "loose.json"
-    path.write_text(json.dumps(config))
-    code, _, err = run(capsys, "serre", str(path), "--prime", "3")
-    assert code == 1
-    assert "Ambiguous" in err or "assignments" in err
+    for top, code_want in ((15, 0), (16, 1), (20, 1)):
+        path.write_text(json.dumps({**config, "top_dimension": top}))
+        code, _, err = run(capsys, "serre", str(path), "--prime", "3")
+        assert code == code_want, (top, err)
+        if code:
+            assert err == ('error: bad fibration config: "top_dimension" must '
+                           'be at most 15: a page stores total degrees 0..16, '
+                           'and H^n needs degree n + 1\n'), err
 
 
 def test_u3t2(capsys):
@@ -515,6 +538,30 @@ def test_holim_and_ecom(capsys):
     assert data["results"]["graded_dimensions"] == \
         [1, 0, 0, 0, 2, 1, 3, 1, 3, 2, 3, 3, 2, 1, 0]
     assert data["results"]["published_match"] is True
+
+
+def test_ecom_u3_compares_every_printed_degree(tmp_path, capsys):
+    """The mod-3 diagram with max_degree 16 and a constant F_3 in degrees 15
+    and 16 puts H^15 = H^16 = 1 past the published table, which counts as 0
+    there: a mismatch, though degrees 0..14 all match."""
+    obj = load_bundled(3).to_json()
+    obj["max_degree"] = 16
+    for v in obj["dims"].values():
+        v += [1, 1]
+    for rec in obj["maps"]:
+        rec["degrees"]["15"] = rec["degrees"]["16"] = [[1]]
+    path = tmp_path / "p3_to_16.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "--format", "json", "holim", "limits",
+                       "--diagram", str(path), "--degree", "15")
+    assert code == 0
+    assert [(r["lim0"], r["lim1"]) for r in
+            json.loads(out)["results"]["higher_limits"]] == [(1, 0)]
+    code, out, err = run(capsys, "ecom-u3", "--prime", "3", "--diagram",
+                         str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: unexpected mismatch with the published table: "
+                   "{15: 1, 16: 1}\n")
 
 
 def test_diagram_file_sets_the_prime(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The incremental robustness check against the dense complex.
 
 ``check_block`` ranks only the hexagon rows of the pair a variant's arrow
-enters, beside the block's fixed rows, takes lim^2 from the kept m(4,6) when
-it spans (0,1,2), and checks delta1 . delta0 = 0 chain by chain.  Here the
-same variants are rebuilt as dense matrices from the formulas in the limits
-docstring (tests/dense_oracle) and ranked by full row reduction.
+enters, beside the block's fixed rows, takes lim^2 = 0 from the identity
+m(4,6) (and refuses a diagram without one), and checks delta1 . delta0 = 0
+chain by chain.  Here the same variants are rebuilt as dense matrices from
+the formulas in the limits docstring (tests/dense_oracle) and ranked by full
+row reduction.
 """
 
 import os
@@ -17,18 +18,21 @@ from pathlib import Path
 
 import pytest
 
-from ecomu3.diagram import PosetDiagram, commutes, load_bundled
+from ecomu3.diagram import PosetDiagram, commutes, equal_modp, load_bundled
 from ecomu3.limits import cosimplicial_complex, higher_limits
 from ecomu3.matrix import IntMatrix, modp_rank, modp_rref
 from ecomu3.poset import PosetSn
-from ecomu3.robustness import (COMPLETED_ARROWS, EXHAUSTIVE_LIMIT,
-                               LOWER_ARROWS, SAMPLE_SIZE, Completion,
-                               VariantLimits, _factor, _gl_elements,
+from ecomu3.robustness import (EXHAUSTIVE_LIMIT, LOWER_ARROWS, SAMPLE_SIZE,
+                               Block, _factor, _gl_elements, check_block,
                                kernel_image_variants)
 
 from dense_oracle import dense, dense_complex, dense_limits
 
 SAMPLE = 10
+# the arrows a completion re-solves: with the varied arrow, the only ones a
+# variant changes; and the 3-chains whose commuting the solve decides
+COMPLETED_ARROWS = [(3, 6), (5, 6), (0, 6), (1, 6), (2, 6)]
+SOLVED_CHAINS = ((0, 4, 6), (1, 5, 6), (2, 5, 6))
 
 
 @pytest.fixture(scope="module", params=[2, 3])
@@ -69,20 +73,21 @@ def test_sparse_blocks_match_dense_formulas(diagram):
 
 
 def test_variant_limits_match_dense_oracle(diagram):
-    """The first compatible variants of every block, both primes."""
+    """The first compatible variants of every block, both primes: the
+    block's (lim^0, lim^1) of a variant are the dense ones of its
+    completion, and the dense lim^2 is 0."""
     p = diagram.prime
     for arrow, k, m, variants in _blocks(diagram):
-        limits = VariantLimits(diagram, arrow, k)
-        complete = Completion(diagram, arrow, k)
+        block = Block(diagram, arrow, k)
         done = 0
         for v in variants:
-            completion = complete(v)
+            completion = block.complete(v)
             if completion is None:
+                assert block(v) is None
                 continue
             want = dense_limits(diagram.poset, lambda i: diagram.dim(i, k),
                                 lambda a, b: completion[a, b], p)
-            assert limits(completion) == want, (arrow, k)
-            assert limits.of_completion(completion) == want, (arrow, k)
+            assert want[2] == 0 and block(v) == want[:2], (arrow, k)
             done += 1
             if done == SAMPLE:
                 break
@@ -90,8 +95,9 @@ def test_variant_limits_match_dense_oracle(diagram):
 
 
 def test_uncompleted_variant_is_not_a_complex(diagram):
-    """A variant substituted without its Completion raises the
-    non-functorial error exactly when the dense d1 d0 is nonzero mod p."""
+    """A variant substituted without its completion makes higher_limits
+    raise the non-functorial error exactly when the dense d1 d0 is nonzero
+    mod p, and otherwise give the dense limits."""
     p, raised = diagram.prime, 0
     for arrow, k, m, variants in _blocks(diagram):
         others = [v for v in variants if v != m]
@@ -101,26 +107,27 @@ def test_uncompleted_variant_is_not_a_complex(diagram):
         maps[arrow] = others[0]
         _, d0, d1 = dense_complex(diagram.poset, lambda i: diagram.dim(i, k),
                                   lambda a, b: maps[a, b])
+        varied = _with_maps(diagram, k, {arrow: others[0]})
         if all(e % p == 0 for e in (d1 * d0).entries):
-            assert VariantLimits(diagram, arrow, k)(maps) == dense_limits(
+            assert higher_limits(varied, k) == dense_limits(
                 diagram.poset, lambda i: diagram.dim(i, k),
                 lambda a, b: maps[a, b], p)
             continue
         raised += 1
         with pytest.raises(AssertionError, match="delta1 . delta0 != 0"):
-            VariantLimits(diagram, arrow, k)(maps)
-        with pytest.raises(AssertionError, match="delta1 . delta0 != 0"):
-            higher_limits(_with_maps(diagram, k, {arrow: others[0]}), k)
+            higher_limits(varied, k)
     assert raised >= 1
 
 
 def test_check_block_path_catches_a_wrong_completion(diagram):
     """One entry of m(5,6) off by one in a compatible variant's completion
-    breaks the chain (1,5,6) or (2,5,6), which the check_block path
-    (VariantLimits.of_completion) still multiplies out."""
+    breaks the chain (1,5,6) or (2,5,6), which the block still multiplies
+    out for every variant."""
     p, raised = diagram.prime, 0
     for arrow, k, m, variants in _blocks(diagram):
-        maps = next(filter(None, map(Completion(diagram, arrow, k), variants)))
+        block = Block(diagram, arrow, k)
+        v, maps = next((v, c) for v in variants
+                       if (c := block.complete(v)) is not None)
         b3 = maps[5, 6]
         # a column of m(5,6) that the image of m(1,5) or m(2,5) reaches
         hit = [j for j in range(b3.cols)
@@ -130,33 +137,25 @@ def test_check_block_path_catches_a_wrong_completion(diagram):
         entries = list(b3.entries)
         entries[hit[0]] += 1
         maps[5, 6] = IntMatrix(b3.rows, b3.cols, entries)
+        block.complete = lambda v: maps
         with pytest.raises(AssertionError, match="delta1 . delta0 != 0"):
-            VariantLimits(diagram, arrow, k).of_completion(maps)
+            block(v)
         raised += 1
     assert raised >= 1
-
-
-def test_variant_limits_refuse_a_changed_kept_arrow():
-    d = load_bundled(2)
-    k = 3
-    maps = {ab: d.matrix(*ab, k) for ab in d.poset.chains2}
-    m = maps[0, 3]
-    maps[0, 3] = type(m).zero(m.rows, m.cols)
-    with pytest.raises(ValueError, match="variant changes"):
-        VariantLimits(d, (1, 3), k)(maps)
 
 
 def test_completion_of_the_bundled_map_is_functorial(diagram):
     """Completing a block's own matrix gives back a functorial diagram that
     keeps every arrow outside COMPLETED_ARROWS and has the baseline limits.
     The first compatible variants of every block complete to functorial
-    diagrams too, also along the three chains that the check_block path
-    takes as closed by construction."""
+    diagrams too, also along the three chains that the block takes as
+    closed by construction."""
     p = diagram.prime
-    closed = set(diagram.poset.chains3) - set(Completion.solved_chains)
+    closed = set(diagram.poset.chains3) - set(SOLVED_CHAINS)
     assert closed == {(0, 3, 6), (1, 3, 6), (2, 4, 6)}
     for arrow, k, m, variants in _blocks(diagram):
-        complete = Completion(diagram, arrow, k)
+        block = Block(diagram, arrow, k)
+        complete = block.complete
         for maps in islice(filter(None, map(complete, variants)), 3):
             for a, b, c in diagram.poset.chains3:
                 assert commutes(maps[a, b], maps[b, c], maps[a, c], p), (
@@ -170,38 +169,28 @@ def test_completion_of_the_bundled_map_is_functorial(diagram):
                 want = diagram.matrix(*ab, k)
                 assert all((x - y) % p == 0 for x, y in
                            zip(maps[ab].entries, want.entries)), (ab, k)
-        assert VariantLimits(diagram, arrow, k)(maps) == higher_limits(diagram, k)
+        assert block(m) + (0,) == higher_limits(diagram, k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_zero_maps_run_the_lim2_fallback(p):
-    """All maps 0: the kept m(4,6) = 0 does not span (0,1,2), so every
-    variant ranks its own image in (0,1,2), and lim^2 = dim(0,1,2) != 0.
-    With the lower maps 0, the maps (0,1)->(0,1,2) and (1,2)->(0,1,2) may be
-    anything; those variants lower lim^2."""
-    rng = random.Random(p)
+def test_check_block_refuses_a_non_identity_m46(p):
+    """All maps 0, so m(4,6) = 0 is not the identity: every block is
+    refused, though its only variant is its own map.  Such a block's lim^2
+    would be dim(0,1,2) != 0, which no sweep variant may have."""
     dims = {0: [1, 2], 1: [1, 1], 2: [2, 0], 3: [2, 3], 4: [2, 2],
             5: [3, 1], 6: [2, 2]}
     d = PosetDiagram(p, dims, {}, 1)
-    lowered = 0
     for k in range(2):
-        dim = lambda i: d.dim(i, k)
+        assert higher_limits(d, k)[2] == d.dim(6, k) > 0
         for arrow in LOWER_ARROWS:
-            limits = VariantLimits(d, arrow, k)
-            assert limits.kept[4, 6].is_zero() and dim(6) > 0
-            assert limits.lim2 is None
-            maps = {ab: d.matrix(*ab, k) for ab in d.poset.chains2}
-            assert limits(maps) == dense_limits(
-                d.poset, dim, lambda a, b: maps[a, b], p)
-            assert limits(maps)[2] == dim(6)
-            for _ in range(4):
-                for b in (3, 5):
-                    maps[b, 6] = IntMatrix(dim(6), dim(b), [
-                        rng.randrange(p) for _ in range(dim(6) * dim(b))])
-                want = dense_limits(d.poset, dim, lambda a, b: maps[a, b], p)
-                assert limits(maps) == want, (arrow, k)
-                lowered += want[2] < dim(6)
-    assert lowered
+            m = d.matrix(*arrow, k)
+            if not (m.rows and m.cols):
+                assert check_block(d, arrow, k) is None
+                continue
+            assert kernel_image_variants(m, p, random.Random(0))[0] == [m]
+            with pytest.raises(ValueError, match=r"\(0,2\)->\(0,1,2\) is not "
+                               "the identity in degree"):
+                check_block(d, arrow, k)
 
 
 def _factored_diagram(p, r, rng, spanning=False):
@@ -237,11 +226,12 @@ def _inverse_modp(g, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_factored_diagrams_match_dense_oracle(p):
-    """Diagrams through F_p^r: m(4,6) has rank r, so it spans (0,1,2) when
-    r = dim(0,1,2) and lim^2 = 0 is read off it, and otherwise each variant
-    ranks its image in (0,1,2).  Both branches run."""
+    """Diagrams through F_p^r: m(4,6) has rank r, so it spans (0,1,2) and
+    lim^2 = 0 when r = dim(0,1,2), and otherwise lim^2 != 0.  Both kinds
+    run.  A block refuses every such diagram whose m(4,6) is not the
+    identity."""
     rng = random.Random(p)
-    branches = set()
+    branches, refused = set(), 0
     for trial in range(8):
         d = _factored_diagram(p, 1 + trial % 2, rng, spanning=trial >= 6)
         dim = lambda i: d.dim(i, 0)
@@ -250,11 +240,14 @@ def test_factored_diagrams_match_dense_oracle(p):
                    for a, b, c in d.poset.chains3)
         want = dense_limits(d.poset, dim, lambda a, b: maps[a, b], p)
         assert higher_limits(d, 0) == want
+        branches.add(want[2] == 0)
+        if equal_modp(maps[4, 6], IntMatrix.identity(dim(6)), p):
+            continue
+        refused += 1
         for arrow in LOWER_ARROWS:
-            limits = VariantLimits(d, arrow, 0)
-            branches.add(limits.lim2)
-            assert limits(maps) == want, (trial, arrow)
-    assert branches == {0, None}
+            with pytest.raises(ValueError, match="is not the identity"):
+                Block(d, arrow, 0)
+    assert branches == {True, False} and refused
 
 
 def test_sweep_leaves_out_the_smith_form():

@@ -18,15 +18,19 @@ rewritten after every pair, so a failed run (which ends the call) keeps the
 pairs finished before it.  It holds the environment, each side's commit and
 a digest of its ``src/`` tree, every run's last JSON line with the call (run
 of this script) that made it, and per workload, seed and call and per
-end-to-end metric each side's median and quartiles, the pairs the change wins (by the metric's ``better``
-direction in the change's ``BENCHMARK.json``) and the ratio of the medians,
-with ``past_bound`` true where that ratio is worse than the metric's
-``bound`` (each such metric is also printed).  If the file exists for the
-same two ``src/`` trees (by digest: an edit outside ``src/``, which marks the
-commit ``+dirty``, does not count), the new runs are added to it as a new
-call, so one file can hold several workloads and several calls per workload;
-each call is summarised on its own, as two calls may find the machine in two
-states.  The file keeps the first call's commits.
+end-to-end metric each side's median and quartiles, the pairs the change
+wins (by the metric's ``better`` direction in the change's
+``BENCHMARK.json``) and the ratio of the medians, with ``past_bound`` true
+where that ratio is worse than the metric's ``bound`` (each such metric is
+also printed).  ``claim_rule_met`` is true where a gain could be claimed:
+the change is better in at least 9/10 of the pairs, and its median is
+better than the parent's by more than the parent's q3 - q1.  If the file
+exists for the same two ``src/`` trees (by digest: an edit outside
+``src/``, which marks the commit ``+dirty``, does not count), the new runs
+are added to it as a new call, so one file can hold several workloads and
+several calls per workload; each call is summarised on its own, as two calls
+may find the machine in two states.  The file keeps the first call's
+commits.
 """
 
 from __future__ import annotations
@@ -87,7 +91,11 @@ def summarize(runs, spec):
                        and value(p["change"]) != value(p["parent"])
                        for p in pairs)
             row["change_better_pairs"] = f"{wins}/{len(pairs)}"
-            if len(row) == 3 and row["parent"]["median"]:
+            both = "parent" in row and "change" in row
+            if both:
+                row["claim_rule_met"] = claim_rule_met(
+                    wins, len(pairs), row["parent"], row["change"], higher)
+            if both and row["parent"]["median"]:
                 ratio = row["ratio_of_medians"] = (row["change"]["median"]
                                                    / row["parent"]["median"])
                 if "bound" in metric:
@@ -95,6 +103,17 @@ def summarize(runs, spec):
                     row["past_bound"] = (ratio < 1 - bound if higher
                                          else ratio > 1 + bound)
     return out
+
+
+def claim_rule_met(wins, pairs, parent, change, higher):
+    """True when the change is better in at least 9/10 of the ``pairs``
+    (``wins`` of them; a tie counts for neither side) and its median is
+    better than the parent's by more than the parent's q3 - q1."""
+    gain = change["median"] - parent["median"]
+    if not higher:
+        gain = -gain
+    return (pairs > 0 and 10 * wins >= 9 * pairs
+            and gain > parent["q3"] - parent["q1"])
 
 
 def past_bound_lines(summary):
