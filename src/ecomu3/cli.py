@@ -16,8 +16,10 @@ engines::
 Global flag: --format json|text, before or after the subcommand; --prime
 and --max-degree where meaningful.  Nothing is written to disk: every
 subcommand that needs the free resolution builds and verifies it.  The
-argument parser and the module catalog are built once per process, and a
-diagram file is parsed and validated once per distinct text.
+argument parser and the module catalog are built once per process, and so
+are the coinvariant algebra's normal-form tables and degree representations
+that ``flag`` and ``rational-ring`` read; a diagram file is parsed and
+validated once per distinct text.
 
 This module imports only the standard library and :mod:`ecomu3.report`;
 each handler imports the engines it runs, and an engine imports at module
@@ -215,8 +217,8 @@ def cmd_grpcoh(args, report):
 
 
 def cmd_flag(args, report):
-    from .coinvariants import CoinvariantAlgebra, kunneth_decompose
-    algebra = CoinvariantAlgebra(3)
+    from .coinvariants import coinvariant_algebra, kunneth_decompose
+    algebra = coinvariant_algebra(3)
     if args.flag_op == "nf":
         nf = algebra.normal_form(_parse_poly(args.poly))
         report.add_result("normal_form", _poly_out(nf))

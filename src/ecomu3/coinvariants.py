@@ -11,6 +11,11 @@ pivots forced onto non-staircase monomials, which expresses every monomial in
 the staircase basis.  The table is integral (the staircase basis is a Z-basis)
 and the code asserts that.
 
+The algebra is a fixed object, so :func:`coinvariant_algebra` builds one per
+n and process, and every caller shares it.  It fills its normal-form tables
+and its degree representations lazily, one degree at a time, each checked
+once when it is built; a table entry is handed out read-only.
+
 >>> A = CoinvariantAlgebra(3)
 >>> A.normal_form({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
 {}
@@ -23,6 +28,8 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .polynomial import monomials_of_degree, poly_mul
 
@@ -43,13 +50,17 @@ def elementary_symmetric(n, i):
     return out
 
 
+_ZERO = MappingProxyType({})
+
+
 class CoinvariantAlgebra:
     """Exact arithmetic in Z[x_1..x_n]/(sigma_1..sigma_n)."""
 
     def __init__(self, n):
         self.n = n
         self.top_degree = n * (n - 1) // 2
-        self._tables = {}
+        self._tables = {}       # degree -> monomial -> read-only normal form
+        self._reps = {}         # degree -> verified GroupModule
 
     def staircase_basis(self, degree):
         """Staircase monomials (e_j <= n - j, 1-indexed) of the given degree;
@@ -84,7 +95,7 @@ class CoinvariantAlgebra:
         rref = rational_rref(rows)
         table = {}
         for m in stair:
-            table[m] = {m: 1}
+            table[m] = MappingProxyType({m: 1})
         n_nonstair = len(cols) - len(stair)
         pivot_of = {}
         for row in rref:
@@ -108,14 +119,15 @@ class CoinvariantAlgebra:
                     if c.denominator != 1:
                         raise AssertionError("non-integral reduction")
                     nf[cols[i]] = int(c)
-            table[m] = nf
+            table[m] = MappingProxyType(nf)
         self._tables[degree] = table
         return table
 
     def reduce_monomial(self, mono):
+        """The normal form of x^mono, shared read-only with every caller."""
         d = sum(mono)
         if d > self.top_degree:
-            return {}
+            return _ZERO
         return self._table(d)[mono]
 
     def normal_form(self, poly):
@@ -147,7 +159,10 @@ class CoinvariantAlgebra:
         return {e: c for e, c in out.items() if c}
 
     def degree_representation(self, degree):
-        """Integer matrices of the permutation action on the staircase basis."""
+        """Integer matrices of the permutation action on the staircase basis,
+        built and verified once per degree and shared by every caller."""
+        if degree in self._reps:
+            return self._reps[degree]
         from .groups import GroupModule, symmetric_group
         from .matrix import IntMatrix
         group = symmetric_group(self.n)
@@ -166,7 +181,17 @@ class CoinvariantAlgebra:
                 cols.append(col)
             gens[g] = IntMatrix.from_columns(cols, rows=len(basis)) if basis \
                 else IntMatrix.zero(0, 0)
-        return GroupModule(group, len(basis), gens, name=f"flag-degree-{degree}")
+        rep = GroupModule(group, len(basis), gens, name=f"flag-degree-{degree}")
+        if degree <= self.top_degree:   # every degree above is the zero module
+            self._reps[degree] = rep
+        return rep
+
+
+@lru_cache(maxsize=None)
+def coinvariant_algebra(n):
+    """The coinvariant algebra in n variables, one per process, shared by
+    every caller; it builds nothing until a degree is asked for."""
+    return CoinvariantAlgebra(n)
 
 
 def rational_rref(rows):
@@ -290,7 +315,7 @@ def kunneth_decompose(d):
         raise ValueError("need an even degree between 0 and 12")
     from .groups import standard_modules
     catalog = standard_modules(3)
-    algebra = CoinvariantAlgebra(3)
+    algebra = coinvariant_algebra(3)
     reps = {a: algebra.degree_representation(a) for a in range(4)}
     names = []
     for a in range(4):

@@ -36,9 +36,9 @@ class TensorSquare:
 
     def __init__(self, n):
         # imported here: koszul needs only RingPresentation from this module
-        from .coinvariants import CoinvariantAlgebra
+        from .coinvariants import coinvariant_algebra
         self.n = n
-        self.algebra = CoinvariantAlgebra(n)
+        self.algebra = coinvariant_algebra(n)
 
     def normal_form(self, element):
         """Reduce {(ex, ey): coeff} so both exponents are staircase."""

@@ -23,12 +23,13 @@ SWEEP, REPRODUCE = "sweep, seed 7, call 0", "reproduce, seed 7, call 0"
 
 
 def _run(side, pair, throughput, op_s, failed=0, workload="sweep", seed=7,
-         call=0):
+         call=0, attempted=100):
     metrics = {"throughput_per_s": {"value": throughput, "unit": "1/s"},
                "op_s_mid": {"value": op_s, "unit": "s"}}
     return {"side": side, "workload": workload, "seed": seed, "call": call,
-            "pair": pair, "last_line": {"correct": not failed, "attempted": 100,
-                          "failed": failed, "metrics": metrics}}
+            "pair": pair, "last_line": {"correct": not failed,
+                                        "attempted": attempted,
+                                        "failed": failed, "metrics": metrics}}
 
 
 def test_summary_medians_quartiles_and_wins(bench_pairs):
@@ -119,6 +120,38 @@ def test_claim_rule_needs_nine_pairs_in_ten_and_a_gap_past_the_spread(
         0, 10, {"median": 100, "q1": 98, "q3": 102}, {"median": 50}, True)
     assert not bench_pairs.claim_rule_met(
         0, 0, {"median": 100, "q1": 100, "q3": 100}, {"median": 200}, True)
+
+
+def test_peak_rss_is_fitted_against_the_ops_attempted(bench_pairs):
+    """Each side's runs lie on a line: the parent keeps 1 KB per op over
+    22.5 MB, the change 1.5 KB per op over 22.75 MB.  A side whose runs all
+    attempted the same number of ops, or that has no peak_rss_mb, gets no
+    fit."""
+    def run(side, pair, attempted, base, kb_per_op, workload="reproduce"):
+        r = _run(side, pair, 300, 0.003, workload=workload,
+                 attempted=attempted)
+        r["last_line"]["metrics"]["peak_rss_mb"] = {
+            "value": base + attempted * kb_per_op / 1024, "unit": "MB"}
+        return r
+
+    runs = [run("parent", pair, ops, 22.5, 1.0)
+            for pair, ops in enumerate((9000, 10240, 11000))]
+    runs += [run("change", pair, ops, 22.75, 1.5)
+             for pair, ops in enumerate((12000, 12288, 14000, 15000))]
+    runs += [run(side, 0, 2048, 20.0, 1.0, workload="sweep")
+             for side in ("parent", "change")]
+    runs.append(_run("parent", 1, 100, 0.01, attempted=4096))
+    summary = bench_pairs.summarize(runs, SPEC)
+    fit = summary[REPRODUCE]["peak_rss_fit"]
+    assert fit["parent"]["intercept_mb"] == pytest.approx(22.5)
+    assert fit["parent"]["slope_kb_per_op"] == pytest.approx(1.0)
+    assert fit["parent"]["n"] == 3
+    assert fit["change"]["intercept_mb"] == pytest.approx(22.75)
+    assert fit["change"]["slope_kb_per_op"] == pytest.approx(1.5)
+    assert fit["change"]["n"] == 4
+    # one run a side, and a second parent run without peak_rss_mb
+    assert summary[SWEEP]["peak_rss_fit"] == {}
+    assert bench_pairs.past_bound_lines(summary) == []
 
 
 def test_two_seeds_keep_separate_quartiles(bench_pairs):

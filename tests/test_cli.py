@@ -252,14 +252,23 @@ def scrub(out):
 
 
 def test_in_process_calls_match_fresh_processes(capsys):
-    # the parser and the module catalog are shared by every call in a process
+    # the parser, the module catalog and the coinvariant algebra are shared
+    # by every call in a process
+    shared = [
+        ["flag", "kunneth", "6", "--format", "json"],
+        ["flag", "nf", "x1^3 + 2*x1*x2*x3 - x2^2"],
+        ["--format", "json", "flag", "mul", "x1 + x2", "x1*x2"],
+        ["rational-ring"],
+    ]
     sequence = [
         ["--format", "json", "grpcoh", "S3", "standard", "6", "--prime", "3"],
         ["snf", "[[2,4],[6,8]]", "--format", "json"],
         ["flag", "rep", "1"],
+        *shared,
         ["--format", "text", "grpcoh", "S3", "sign", "3"],
         ["flag", "rep", "2", "--format", "json"],
         ["snf", "[[0,3],[5,0]]"],
+        *shared,
     ]
     for argv in sequence:
         code, out, err = run(capsys, *argv)

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from ecomu3 import cli, coinvariants
 from ecomu3.coinvariants import (CoinvariantAlgebra, DecompositionAmbiguous,
-                                 identify_in_catalog, integral_isomorphisms,
-                                 kunneth_decompose, monomials_of_degree,
-                                 poly_mul)
+                                 coinvariant_algebra, identify_in_catalog,
+                                 integral_isomorphisms, kunneth_decompose,
+                                 monomials_of_degree, poly_mul)
+from ecomu3.diagonal import TensorSquare
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +142,56 @@ def test_general_rank_staircase():
     assert sum(a4.dimensions()) == 24
     assert a4.normal_form({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1,
                            (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}) == {}
+
+
+def test_one_algebra_per_process():
+    assert coinvariant_algebra(3) is coinvariant_algebra(3)
+    assert TensorSquare(3).algebra is coinvariant_algebra(3)
+    algebra = coinvariant_algebra(3)
+    assert algebra.degree_representation(2) is algebra.degree_representation(2)
+
+
+def test_each_table_is_built_once_per_process(monkeypatch, capsys):
+    """Every flag op and rational-ring, run twice in one process, reduce
+    through one algebra that builds each degree's table once."""
+    coinvariant_algebra.cache_clear()
+    rrefs = []
+    original = coinvariants.rational_rref
+
+    def counted(rows):
+        rrefs.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(coinvariants, "rational_rref", counted)
+    calls = [["flag", "nf", "x1^2*x2 + x3"], ["flag", "mul", "x1 + x2", "x2^2"],
+             *(["flag", "rep", str(d)] for d in range(4)),
+             *(["flag", "kunneth", str(d)] for d in range(0, 13, 2)),
+             ["rational-ring"]]
+    for _ in range(2):
+        for argv in calls:
+            assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert sorted(coinvariant_algebra(3)._tables) == [0, 1, 2, 3]
+    # one elimination per degree, of its sigma_i * monomial rows
+    assert sorted(rrefs) == [0, 1, 4, 10]
+
+
+def test_a_caller_cannot_change_a_shared_table_entry():
+    algebra = coinvariant_algebra(3)
+    # x2 x3 is not a staircase monomial; it reduces to x1^2
+    reduced = algebra.normal_form({(0, 1, 1): 1})
+    assert reduced == {(2, 0, 0): 1}
+    for mono in ((0, 1, 1), (2, 0, 0)):
+        entry = algebra.reduce_monomial(mono)
+        with pytest.raises(TypeError):
+            entry[(1, 1, 0)] = 7
+        with pytest.raises(TypeError):
+            del entry[next(iter(entry))]
+    # above the top degree every monomial reduces to the one shared zero
+    with pytest.raises(TypeError):
+        algebra.reduce_monomial((4, 0, 0))[(0, 0, 0)] = 1
+    assert algebra.normal_form({(0, 1, 1): 1}) == reduced
+    assert algebra.normal_form({(4, 0, 0): 1}) == {}
+    # a normal form is the caller's own
+    reduced[(1, 1, 0)] = 7
+    assert algebra.normal_form({(0, 1, 1): 1}) == {(2, 0, 0): 1}

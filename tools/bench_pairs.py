@@ -22,7 +22,10 @@ end-to-end metric each side's median and quartiles, the pairs the change
 wins (by the metric's ``better`` direction in the change's
 ``BENCHMARK.json``) and the ratio of the medians, with ``past_bound`` true
 where that ratio is worse than the metric's ``bound`` (each such metric is
-also printed).  ``claim_rule_met`` is true where a gain could be claimed:
+also printed).  ``peak_rss_fit`` gives per side a least-squares fit of
+``peak_rss_mb`` against the ops ``attempted``: the harness keeps every op's
+outcome, so the slope (KB per op) is the harness's growth with throughput
+and the intercept (MB) the rest, the program's own footprint included.  ``claim_rule_met`` is true where a gain could be claimed:
 the change is better in at least 9/10 of the pairs, and its median is
 better than the parent's by more than the parent's q3 - q1.  If the file
 exists for the same two ``src/`` trees (by digest: an edit outside
@@ -76,6 +79,9 @@ def summarize(runs, spec):
         summary = out[group_name(*key)] = {
             "failed_ops": {side: sum(r["last_line"]["failed"] for r in mine
                                      if r["side"] == side) for side in SIDES}}
+        fits = {side: rss_fit([r for r in mine if r["side"] == side])
+                for side in SIDES}
+        summary["peak_rss_fit"] = {side: fit for side, fit in fits.items() if fit}
         for metric in spec["end_to_end"]:
             name, higher = metric["name"], metric["better"] == "higher"
             value = lambda r: r["last_line"]["metrics"][name]["value"]
@@ -103,6 +109,20 @@ def summarize(runs, spec):
                     row["past_bound"] = (ratio < 1 - bound if higher
                                          else ratio > 1 + bound)
     return out
+
+
+def rss_fit(runs):
+    """The least-squares line of ``peak_rss_mb`` against the ops
+    ``attempted`` over ``runs``: ``intercept_mb`` and ``slope_kb_per_op``.
+    None unless the runs attempted at least two distinct op counts."""
+    points = [(r["last_line"]["attempted"],
+               r["last_line"]["metrics"]["peak_rss_mb"]["value"])
+              for r in runs if "peak_rss_mb" in r["last_line"]["metrics"]]
+    if len({ops for ops, _ in points}) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(*zip(*points))
+    return {"intercept_mb": intercept, "slope_kb_per_op": slope * 1024,
+            "n": len(points)}
 
 
 def claim_rule_met(wins, pairs, parent, change, higher):
