@@ -22,18 +22,20 @@ end-to-end metric each side's median and quartiles, the pairs the change
 wins (by the metric's ``better`` direction in the change's
 ``BENCHMARK.json``) and the ratio of the medians, with ``past_bound`` true
 where that ratio is worse than the metric's ``bound`` (each such metric is
-also printed).  ``peak_rss_fit`` gives per side a least-squares fit of
+also printed).  ``peak_rss_fit`` gives per side a least-squares line of
 ``peak_rss_mb`` against the ops ``attempted``: the harness keeps every op's
 outcome, so the slope (KB per op) is the harness's growth with throughput
-and the intercept (MB) the rest, the program's own footprint included.  ``claim_rule_met`` is true where a gain could be claimed:
-the change is better in at least 9/10 of the pairs, and its median is
-better than the parent's by more than the parent's q3 - q1.  If the file
-exists for the same two ``src/`` trees (by digest: an edit outside
-``src/``, which marks the commit ``+dirty``, does not count), the new runs
-are added to it as a new call, so one file can hold several workloads and
-several calls per workload; each call is summarised on its own, as two calls
-may find the machine in two states.  The file keeps the first call's
-commits.
+and the intercept (MB) the rest, the program's own footprint included.  The
+intercept lies far from the runs' op counts, so two sides' intercepts are
+comparable only where their slopes agree.  ``claim_rule_met`` is true where
+a gain could be claimed: the change is better in at least 9/10 of the
+pairs, and its median is better than the parent's by more than the
+parent's q3 - q1.  If the file exists for the same two ``src/`` trees (by
+digest: an edit outside ``src/``, which marks the commit ``+dirty``, does
+not count), the new runs are added to it as a new call, so one file can
+hold several workloads and several calls per workload; each call is
+summarised on its own, as two calls may find the machine in two states.
+The file keeps the first call's commits.
 """
 
 from __future__ import annotations
