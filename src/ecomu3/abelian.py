@@ -194,17 +194,6 @@ class PoincareSeries(FrozenRecord):
     def __getitem__(self, d):
         return self.coefficients[d] if 0 <= d < len(self.coefficients) else 0
 
-    def __mul__(self, other):
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return PoincareSeries()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return PoincareSeries(out)
-
     def __str__(self):
         if not self.coefficients:
             return "0"

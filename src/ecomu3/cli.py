@@ -316,6 +316,11 @@ def cmd_u3t2(args, report):
     want = published.U3T2_SERIES[args.prime]
     if out["series"].coefficients != want.coefficients:
         raise CommandError("series does not match the published value")
+    relations = set(out["presentation"].formatted_relations())
+    if relations != published.U3T2_RELATIONS[args.prime]:
+        raise CommandError(
+            f"relations {sorted(relations)} do not match the published "
+            f"{sorted(published.U3T2_RELATIONS[args.prime])}")
     report.add_result("published_match", True, provenance="[PAPER]")
 
 

@@ -5,11 +5,11 @@ ring of the manifold of complete flags in C^n, with the symmetric group
 permuting the variables.  The monomials x^e with e_j <= n - j (the staircase
 monomials) form a Z-basis; cohomological degree is twice polynomial degree.
 
-Normal forms are computed degreewise by exact linear algebra: in each
-polynomial degree the span of {monomial * sigma_i} is row reduced over Q with
-pivots forced onto non-staircase monomials, which expresses every monomial in
-the staircase basis.  The table is integral (the staircase basis is a Z-basis)
-and the code asserts that.
+Normal forms are read degree by degree from a
+:class:`~ecomu3.polynomial.GradedQuotient` over Q by sigma_1..sigma_n.  Its
+monomial order (lex, x_n most significant) makes the staircase monomials the
+normal basis, and as they are a Z-basis every normal form is integral; the
+code asserts both.
 
 The algebra is a fixed object, so :func:`coinvariant_algebra` builds one per
 n and process, and every caller shares it.  It fills its normal-form tables
@@ -27,11 +27,10 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .polynomial import monomials_of_degree, poly_mul
+from .polynomial import GradedQuotient, monomials_of_degree, poly_mul
 
 
 class DecompositionAmbiguous(RuntimeError):
@@ -74,52 +73,22 @@ class CoinvariantAlgebra:
         return [len(self.staircase_basis(d)) for d in range(self.top_degree + 1)]
 
     def _table(self, degree):
-        """monomial -> staircase coordinates, as integer dicts."""
+        """monomial -> staircase coordinates, as integer dicts, read from a
+        quotient by sigma_1..sigma_n that is dropped once the degree is read.
+        Its basis must be the staircase and its normal forms integral."""
         if degree in self._tables:
             return self._tables[degree]
         n = self.n
-        monos = monomials_of_degree(n, degree)
-        stair = set(self.staircase_basis(degree))
-        # columns: non-staircase monomials first so RREF pivots land on them
-        cols = [m for m in monos if m not in stair] + [m for m in monos if m in stair]
-        col_of = {m: i for i, m in enumerate(cols)}
-        rows = []
-        for i in range(1, min(n, degree) + 1):
-            sig = elementary_symmetric(n, i)
-            for m in monomials_of_degree(n, degree - i):
-                prod = poly_mul({m: 1}, sig)
-                row = [Fraction(0)] * len(cols)
-                for e, c in prod.items():
-                    row[col_of[e]] = Fraction(c)
-                rows.append(row)
-        rref = rational_rref(rows)
+        quotient = GradedQuotient(
+            [1] * n, [elementary_symmetric(n, i) for i in range(1, n + 1)])
+        if set(quotient.basis(degree)) != set(self.staircase_basis(degree)):
+            raise AssertionError(f"degree-{degree} basis is not the staircase")
         table = {}
-        for m in stair:
-            table[m] = MappingProxyType({m: 1})
-        n_nonstair = len(cols) - len(stair)
-        pivot_of = {}
-        for row in rref:
-            lead = next(i for i, c in enumerate(row) if c)
-            if lead >= n_nonstair:
-                raise AssertionError("ideal meets the staircase span")
-            pivot_of[lead] = row
-        if len(pivot_of) != n_nonstair and degree <= self.top_degree:
-            raise AssertionError("staircase monomials do not span the quotient")
-        for j in range(n_nonstair):
-            row = pivot_of.get(j)
-            m = cols[j]
-            if row is None:
-                raise AssertionError(f"monomial {m} not reducible")
-            nf = {}
-            for i in range(j + 1, len(cols)):
-                if row[i]:
-                    if cols[i] not in stair:
-                        raise AssertionError("pivot row touches a later non-staircase column")
-                    c = -row[i]
-                    if c.denominator != 1:
-                        raise AssertionError("non-integral reduction")
-                    nf[cols[i]] = int(c)
-            table[m] = MappingProxyType(nf)
+        for m in monomials_of_degree(n, degree):
+            nf = quotient.normal_form({m: 1})
+            if any(c.denominator != 1 for c in nf.values()):
+                raise AssertionError(f"non-integral reduction of {m}")
+            table[m] = MappingProxyType({b: int(c) for b, c in nf.items()})
         self._tables[degree] = table
         return table
 
@@ -192,38 +161,6 @@ def coinvariant_algebra(n):
     """The coinvariant algebra in n variables, one per process, shared by
     every caller; it builds nothing until a degree is asked for."""
     return CoinvariantAlgebra(n)
-
-
-def rational_rref(rows):
-    """Reduced row echelon form over Fraction; returns the nonzero rows, so
-    their number is the rank over Q.  The one elimination over Q."""
-    out = []
-    lead_cols = {}
-    for row in rows:
-        row = list(row)
-        while True:
-            lead = next((i for i, c in enumerate(row) if c), None)
-            if lead is None:
-                break
-            if lead in lead_cols:
-                pivot = lead_cols[lead]
-                f = row[lead] / pivot[lead]
-                row = [a - f * b for a, b in zip(row, pivot)]
-            else:
-                inv = row[lead]
-                row = [a / inv for a in row]
-                lead_cols[lead] = row
-                out.append(row)
-                break
-    # back-substitute to full reduction
-    for col, pivot in sorted(lead_cols.items(), reverse=True):
-        for other in out:
-            if other is pivot or not other[col]:
-                continue
-            f = other[col]
-            for i in range(len(other)):
-                other[i] -= f * pivot[i]
-    return out
 
 
 # --- named identification against the module catalog ------------------------

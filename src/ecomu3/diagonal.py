@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .abelian import PoincareSeries
-from .polynomial import poly_add, poly_mul, poly_scale
+from .polynomial import (GradedQuotient, format_poly, poly_add, poly_mul,
+                         poly_scale)
 
 
 class NonRationalScalars(TypeError):
@@ -105,70 +106,31 @@ class TensorSquare:
 
 
 class RingPresentation:
-    """A graded presentation field[generators]/(relations).
+    """A graded presentation field[generators]/(relations), over Q when ``p``
+    is None and over F_p otherwise.
 
-    ``relations`` is the display form; ``leading_monomials`` are the initial
-    monomials of a Groebner basis of the relation ideal, which is what the
-    normal-monomial enumeration uses.  When every relation is a monomial the
-    two coincide and ``leading_monomials`` may be omitted.
+    ``relations`` are polynomial dicts over the generators, in their order;
+    the normal monomials, and so the Poincare polynomial, are those of the
+    :class:`~ecomu3.polynomial.GradedQuotient` they present.
     """
 
-    def __init__(self, generators, relations, leading_monomials=None, field="Q"):
+    def __init__(self, generators, relations, p=None):
         self.generators = list(generators)   # (name, degree)
-        self.relations = list(relations)     # strings over generator names
-        self.field = field
-        self.leading_monomials = list(leading_monomials) if leading_monomials \
-            else list(relations)
+        self.relations = list(relations)
+        self.field = "Q" if p is None else f"F{p}"
+        self.quotient = GradedQuotient([d for _, d in self.generators],
+                                       self.relations, p)
 
-    def normal_monomials(self, top_degree=24):
-        """Exponent vectors divisible by no leading monomial, up to a degree."""
-        from itertools import product as iproduct
-        names = [g for g, _ in self.generators]
-        degs = {g: d for g, d in self.generators}
-        rel_exps = [_parse_monomial(rel, names) for rel in self.leading_monomials]
-        bounds = []
-        for g, d in self.generators:
-            bound = top_degree // d
-            for re_ in rel_exps:
-                if sum(re_.values()) == re_.get(g, 0) and g in re_:
-                    bound = min(bound, re_[g] - 1)
-            bounds.append(bound)
-        out = []
-        for exps in iproduct(*(range(b + 1) for b in bounds)):
-            e = dict(zip(names, exps))
-            if any(all(e.get(g, 0) >= k for g, k in re_.items()) for re_ in rel_exps):
-                continue
-            deg = sum(degs[g] * k for g, k in e.items())
-            if deg <= top_degree:
-                out.append((deg, {g: k for g, k in e.items() if k}))
-        out.sort(key=lambda t: (t[0], sorted(t[1].items())))
-        return out
+    def formatted_relations(self):
+        names = [name for name, _ in self.generators]
+        return [format_poly(rel, names) for rel in self.relations]
 
-    def poincare_polynomial(self, top_degree=24):
-        coeffs = [0] * (top_degree + 1)
-        for deg, _ in self.normal_monomials(top_degree):
-            coeffs[deg] += 1
-        return PoincareSeries(coeffs)
+    def poincare_polynomial(self, top_degree):
+        return PoincareSeries(self.quotient.hilbert_series(top_degree))
 
     def __str__(self):
         gens = ", ".join(name for name, _ in self.generators)
-        rels = ", ".join(self.relations)
-        return f"{self.field}[{gens}]/({rels})"
-
-
-def _parse_monomial(text, names):
-    out = {}
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            base, exp = factor.split("^")
-            out[base.strip()] = out.get(base.strip(), 0) + int(exp)
-        else:
-            out[factor] = out.get(factor, 0) + 1
-    for g in out:
-        if g not in names:
-            raise ValueError(f"unknown generator {g}")
-    return out
+        return f"{self.field}[{gens}]/({', '.join(self.formatted_relations())})"
 
 
 def invariant_ring_presentation():
@@ -185,7 +147,8 @@ def invariant_ring_presentation():
     Poincare duality from the tensor square, the degree-12 line is spanned by
     the top class, and 8 g4^3 = g6 g6' holds on the nose.  The claim that the
     product of g4 with the degree-8 basis class vanishes is recorded as a
-    discrepancy witness instead of being asserted.
+    discrepancy note instead of being asserted; the note's witness
+    -6 g4 c8 = c12 must hold, or RelationFailure is raised.
 
     Returns (presentation, verified relation names, named basis classes,
     discrepancy notes).
@@ -232,18 +195,20 @@ def invariant_ring_presentation():
     g4_c8 = ts.multiply(g4, c8)
     if g4_c8 != {}:
         witness = ts.scale(Fraction(-6), g4_c8)
+        if witness != c12:
+            raise RelationFailure(f"-6*g4*c8 == c12: {witness} != {c12}")
         discrepancies.append(
             "the relation list (g4^3, g6^2, g6'^2, g4*g6, g4*g6') overstates "
             "the vanishing: exact arithmetic gives g4 * avg(x1x2 (x) y2y3) = "
             "-2 g4^3 = -(1/6) avg(x1^2x2 (x) y3^2y2) != 0; the presented ring "
-            "uses 8*g4^3 - g6*g6' instead of g4^3"
-            + ("" if witness == c12 else " [unexpected witness]"))
+            "uses 8*g4^3 - g6*g6' instead of g4^3")
 
     basis = {"1": ts.normal_form({((0, 0, 0), (0, 0, 0)): Fraction(1)}),
              "g4": g4, "g6": g6, "g6'": g6t, "g4^2": ts.multiply(g4, g4),
              "g6*g6'": ts.multiply(g6, g6t)}
+    # exponents over (g4, g6, g6'): g6^2, g6'^2, g4*g6, g4*g6', 8*g4^3 - g6*g6'
     pres = RingPresentation(
         [("g4", 4), ("g6", 6), ("g6'", 6)],
-        ["g6^2", "g6'^2", "g4*g6", "g4*g6'", "8*g4^3 - g6*g6'"],
-        leading_monomials=["g6^2", "g6'^2", "g4*g6", "g4*g6'", "g6*g6'", "g4^4"])
+        [{(0, 2, 0): 1}, {(0, 0, 2): 1}, {(1, 1, 0): 1}, {(1, 0, 1): 1},
+         {(3, 0, 0): 8, (0, 1, 1): -1}])
     return pres, checks, basis, discrepancies

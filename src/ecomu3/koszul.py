@@ -7,10 +7,12 @@ Lambda[z_1, z_3, z_5] (x) F_p[b_1..b_k] with transgressive exterior
 generators: d_{2i}(z_{2i-1}) is the i-th Chern class of the bundle reduced in
 the current base quotient, extended multiplicatively.  Generators whose
 transgression reduces to zero survive; the others die and impose their
-transgression as a relation.  The resulting presentation is cross-checked
-against an independent oracle: the homology of the full Koszul complex,
-computed degree by degree by F_p linear algebra, which is the Tor computation
-that the collapsed spectral sequence abuts to.
+transgression as a relation.  The base quotient and the presented ring,
+whose Hilbert series is the reported one, are
+:class:`~ecomu3.polynomial.GradedQuotient` instances over F_p.  The
+presentation is cross-checked against an independent oracle: the homology
+of the full Koszul complex, computed degree by degree by F_p linear algebra,
+which is the Tor computation that the collapsed spectral sequence abuts to.
 
 >>> [sorted(c.items()) for c in whitney_chern([[1, 0], [1, 0], [0, 1]])]
 [[((0, 1), 1), ((1, 0), 2)], [((1, 1), 2), ((2, 0), 1)], [((2, 1), 1)]]
@@ -22,8 +24,9 @@ from itertools import combinations
 
 from .abelian import PoincareSeries
 from .diagonal import RingPresentation
-from .matrix import EchelonBasis, modp_rref
-from .polynomial import monomials_of_degree, poly_mul
+from .matrix import EchelonBasis
+from .polynomial import (GradedQuotient, format_poly, monomials_of_degree,
+                         poly_mul)
 
 TOP = 16    # the last degree of every series reported
 
@@ -54,114 +57,6 @@ def whitney_chern(weights):
         ci = {e: c for e, c in total.items() if sum(e) == i}
         cherns.append(ci)
     return cherns
-
-
-class BaseQuotient:
-    """F_p[b_1..b_k] modulo an ideal, reduced degree by degree.
-
-    Linear relations are handled by substitution (eliminating a variable);
-    everything else goes through per-degree row reduction of the ideal slice.
-    """
-
-    def __init__(self, k, p):
-        self.k = k
-        self.p = p
-        self.subs = {}        # var -> linear form over surviving vars
-        self.relations = []   # reduced polynomial dicts over surviving vars
-        self._slices = {}
-
-    @property
-    def variables(self):
-        return [j for j in range(self.k) if j not in self.subs]
-
-    def substitute(self, poly):
-        out = dict(poly)
-        for var, form in self.subs.items():
-            nxt = {}
-            for e, c in out.items():
-                if e[var] == 0:
-                    nxt[e] = (nxt.get(e, 0) + c) % self.p
-                    continue
-                rest = list(e)
-                power = rest[var]
-                rest[var] = 0
-                term = {tuple(rest): c}
-                for _ in range(power):
-                    term = poly_mul(term, form)
-                for e2, c2 in term.items():
-                    nxt[e2] = (nxt.get(e2, 0) + c2) % self.p
-            out = {e: c % self.p for e, c in nxt.items() if c % self.p}
-        return out
-
-    def _ideal_slice(self, d):
-        """RREF of the degree-d slice of the relation ideal, plus pivots."""
-        if d in self._slices:
-            return self._slices[d]
-        monos = [m for m in monomials_of_degree(self.k, d)
-                 if all(m[v] == 0 for v in self.subs)]
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for rel in self.relations:
-            rd = next(sum(e) for e in rel)
-            if rd > d:
-                continue
-            for m in monomials_of_degree(self.k, d - rd):
-                if any(m[v] for v in self.subs):
-                    continue
-                prod = poly_mul({m: 1}, rel)
-                row = [0] * len(monos)
-                for e, c in prod.items():
-                    row[index[e]] = c % self.p
-                rows.append(row)
-        rref, pivots = modp_rref(rows, len(monos), self.p) if rows else ([], [])
-        self._slices[d] = (monos, index, rref, pivots)
-        return self._slices[d]
-
-    def reduce(self, poly):
-        """Canonical representative: substitute, then kill pivot monomials."""
-        poly = self.substitute({e: c % self.p for e, c in poly.items() if c % self.p})
-        by_degree = {}
-        for e, c in poly.items():
-            by_degree.setdefault(sum(e), {})[e] = c
-        out = {}
-        for d, part in by_degree.items():
-            monos, index, rref, pivots = self._ideal_slice(d)
-            vec = [0] * len(monos)
-            for e, c in part.items():
-                vec[index[e]] = c % self.p
-            for row, piv in zip(rref, pivots):
-                if vec[piv]:
-                    f = vec[piv]
-                    vec = [(a - f * b) % self.p for a, b in zip(vec, row)]
-            for i, c in enumerate(vec):
-                if c:
-                    out[monos[i]] = c
-        return out
-
-    def add_relation(self, poly):
-        """Add a nonzero relation, reduced modulo those before it.  A linear
-        one eliminates a variable; it must come before any other relation,
-        which holds as only c_1 is linear and it is transgressed first."""
-        if {sum(e) for e in poly} == {1}:
-            # eliminate the lexicographically last variable present
-            var = max(j for e in poly for j in range(self.k) if e[j])
-            lead = poly[tuple(1 if j == var else 0 for j in range(self.k))]
-            inv = pow(lead, -1, self.p)
-            self.subs[var] = {e: (-c * inv) % self.p
-                              for e, c in poly.items() if not e[var]}
-        else:
-            self.relations.append(poly)
-        self._slices = {}
-
-    def hilbert_series(self, top):
-        coeffs = []
-        for d in range(0, top + 1, 1):
-            if d % 2:
-                coeffs.append(0)
-                continue
-            monos, index, rref, pivots = self._ideal_slice(d // 2)
-            coeffs.append(len(monos) - len(pivots))
-        return PoincareSeries(coeffs)
 
 
 def koszul_homology_series(cherns, k, p, top):
@@ -210,19 +105,6 @@ def koszul_homology_series(cherns, k, p, top):
                            for deg in range(top + 1)])
 
 
-def format_poly(poly, names):
-    """A polynomial as text, ``names[j]`` naming variable j."""
-    if not poly:
-        return "0"
-    terms = []
-    for e in sorted(poly, reverse=True):
-        c = poly[e]
-        mono = "*".join(names[j] if exp == 1 else f"{names[j]}^{exp}"
-                        for j, exp in enumerate(e) if exp)
-        terms.append(f"{c}*{mono}" if mono and c != 1 else mono or str(c))
-    return " + ".join(terms)
-
-
 def transgressive_quotient(weights, p):
     """Run the transgression bookkeeping and return the full analysis.
 
@@ -232,13 +114,14 @@ def transgressive_quotient(weights, p):
     """
     cherns = whitney_chern(weights)
     k = len(weights[0]) if weights else 0
-    ring = BaseQuotient(k, p)
     names = [f"b{j + 1}" for j in range(k)]
+    relations = []
+    base = GradedQuotient([1] * k, relations, p)
     steps = []
     survivors = []
     for i, ci in enumerate(cherns, start=1):
         raw = {e: c % p for e, c in ci.items() if c % p}
-        reduced = ring.reduce(raw)
+        reduced = base.normal_form(raw)
         dies = bool(reduced)
         steps.append({
             "generator": f"z{2 * i - 1}",
@@ -248,23 +131,25 @@ def transgressive_quotient(weights, p):
             "dies": dies,
         })
         if dies:
-            ring.add_relation(reduced)
+            relations.append(reduced)
+            base = GradedQuotient([1] * k, relations, p)
         else:
             survivors.append(2 * i - 1)
 
-    live = ring.variables
-    rename = {j: "b" if len(live) == 1 else f"b{j + 1}" for j in live}
-    gens = [(f"z{d}", d) for d in survivors] + [(rename[j], 2) for j in live]
-    relations = [f"z{d}^2" for d in survivors] + [
-        format_poly(rel, rename) for rel in ring.relations]
-    pres = RingPresentation(gens, relations, field=f"F{p}")
+    # a linear relation (only c_1 is one) eliminates its leading variable;
+    # the others are the degree-1 basis, and the later relations, being
+    # normal forms, are polynomials in them
+    live = sorted(e.index(1) for e in base.basis(1))
+    gens = [(f"z{d}", d) for d in survivors] + [
+        ("b" if len(live) == 1 else f"b{j + 1}", 2) for j in live]
+    exterior = [0] * len(survivors)
+    squares = [{tuple(2 * (t == s) for t in range(len(gens))): 1}
+               for s in range(len(survivors))]
+    pres = RingPresentation(gens, squares + [
+        {tuple(exterior + [e[j] for j in live]): c for e, c in rel.items()}
+        for rel in relations if base.degree(next(iter(rel))) > 1], p)
 
-    series = PoincareSeries([1])
-    for d in survivors:
-        series = series * PoincareSeries([1] + [0] * (d - 1) + [1])
-    series = series * ring.hilbert_series(TOP)
-    series = PoincareSeries(series.coefficients[:TOP + 1])
-
+    series = pres.poincare_polynomial(TOP)
     oracle = koszul_homology_series(cherns, k, p, TOP)
     if series.coefficients != oracle.coefficients:
         raise AssertionError(

@@ -9,7 +9,7 @@ index predicts, and ranks classes over Q.
 from fractions import Fraction
 from itertools import permutations
 
-from ecomu3.coinvariants import rational_rref
+from ecomu3.polynomial import rational_rref
 from ecomu3.diagonal import TensorSquare
 
 

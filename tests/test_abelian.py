@@ -139,13 +139,12 @@ def test_mod_p_series_examples():
 
 
 def test_series_algebra():
-    a = PoincareSeries([1, 1])
-    b = PoincareSeries([1, 1, 1])
-    c = PoincareSeries([1, 0, 2])
-    assert (a * b).coefficients == (b * a).coefficients
-    assert ((a * b) * c).coefficients == (a * (b * c)).coefficients
+    # series are compared, and hashed, by their coefficients
+    assert PoincareSeries([1, 2, 2, 1, 0]) == PoincareSeries([1, 2, 2, 1])
+    assert len({PoincareSeries([1, 0, 2]), PoincareSeries((1, 0, 2))}) == 1
     # the flag threefold staircase count in doubled degrees
-    assert inflate(a * b, 2).coefficients == (1, 0, 2, 0, 2, 0, 1)
+    assert inflate(PoincareSeries([1, 2, 2, 1]), 2).coefficients == \
+        (1, 0, 2, 0, 2, 0, 1)
     with pytest.raises(ValueError):
         PoincareSeries([1, -1])
 

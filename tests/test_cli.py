@@ -506,6 +506,16 @@ def test_u3t2(capsys):
     assert data["series"] == [1, 0, 1, 1, 1, 1, 0, 1]
 
 
+def test_u3t2_checks_its_relations_against_the_published_ones(
+        monkeypatch, capsys):
+    from ecomu3 import published
+    monkeypatch.setitem(published.U3T2_RELATIONS, 2, {"z5^2", "b^3"})
+    code, out, err = run(capsys, "u3t2", "--prime", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error: relations ['b^2', 'z5^2'] do not match the "
+                   "published ['b^3', 'z5^2']\n")
+
+
 def test_cli_accepts_no_diagram_with_nonzero_lim2(tmp_path, capsys):
     """validate pins (0,2)->(0,1,2) to the identity, so the maps into (0,1,2)
     span it and lim^2 = 0 in every diagram the CLI computes with.  The way to
@@ -696,6 +706,19 @@ def test_rational_ring(capsys):
         [1, 0, 0, 0, 1, 0, 2, 0, 1, 0, 0, 0, 1]
     assert data["results"]["basis_degrees"] == [0, 4, 6, 6, 8, 12]
     assert any("g4^3" in n for n in data["notes"])
+
+
+def test_rational_ring_refuses_an_unexpected_witness(monkeypatch, capsys):
+    """The note says -6 g4*c8 = c12; when that fails, the command fails with
+    one error line instead of printing the note."""
+    from ecomu3.diagonal import TensorSquare
+    from ecomu3.polynomial import poly_scale
+    monkeypatch.setattr(TensorSquare, "scale", staticmethod(
+        lambda c, a: poly_scale(2 * c if c == -6 else c, a)))
+    code, out, err = run(capsys, "rational-ring")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: relation failure: -6*g4*c8 == c12: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_flag_ops(capsys):

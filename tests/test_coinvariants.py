@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecomu3 import cli, coinvariants
+from ecomu3 import cli, coinvariants, polynomial
 from ecomu3.coinvariants import (CoinvariantAlgebra, DecompositionAmbiguous,
                                  coinvariant_algebra, identify_in_catalog,
                                  integral_isomorphisms, kunneth_decompose,
@@ -155,14 +155,13 @@ def test_each_table_is_built_once_per_process(monkeypatch, capsys):
     """Every flag op and rational-ring, run twice in one process, reduce
     through one algebra that builds each degree's table once."""
     coinvariant_algebra.cache_clear()
-    rrefs = []
-    original = coinvariants.rational_rref
+    quotients = []
 
-    def counted(rows):
-        rrefs.append(len(rows))
-        return original(rows)
+    def counted(*args):
+        quotients.append(polynomial.GradedQuotient(*args))
+        return quotients[-1]
 
-    monkeypatch.setattr(coinvariants, "rational_rref", counted)
+    monkeypatch.setattr(coinvariants, "GradedQuotient", counted)
     calls = [["flag", "nf", "x1^2*x2 + x3"], ["flag", "mul", "x1 + x2", "x2^2"],
              *(["flag", "rep", str(d)] for d in range(4)),
              *(["flag", "kunneth", str(d)] for d in range(0, 13, 2)),
@@ -172,8 +171,9 @@ def test_each_table_is_built_once_per_process(monkeypatch, capsys):
             assert cli.main(argv) == 0, argv
     capsys.readouterr()
     assert sorted(coinvariant_algebra(3)._tables) == [0, 1, 2, 3]
-    # one elimination per degree, of its sigma_i * monomial rows
-    assert sorted(rrefs) == [0, 1, 4, 10]
+    # one quotient by sigma_1..sigma_n per degree, which eliminates the
+    # slice of that degree alone
+    assert sorted(list(q._slices) for q in quotients) == [[0], [1], [2], [3]]
 
 
 def test_a_caller_cannot_change_a_shared_table_entry():
