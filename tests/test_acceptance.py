@@ -154,7 +154,8 @@ def test_criterion_3_twisted_square(resolution, fl3xfl3_reps):
 
 def test_criterion_4_torus_quotient():
     out2 = u3t2_cohomology(2)
-    assert set(out2["presentation"].formatted_relations()) == published.U3T2_RELATIONS[2]
+    assert set(out2["presentation"].formatted_relations()) == \
+        published.U3T2_RELATIONS[2]
     assert out2["series"].coefficients == (1, 0, 1, 0, 0, 1, 0, 1)
     steps2 = {s["generator"]: s for s in out2["steps"]}
     assert steps2["z1"]["reduced"] == "b2" and steps2["z1"]["dies"]
@@ -162,7 +163,8 @@ def test_criterion_4_torus_quotient():
     assert steps2["z5"]["reduced"] == "0" and not steps2["z5"]["dies"]
 
     out3 = u3t2_cohomology(3)
-    assert set(out3["presentation"].formatted_relations()) == published.U3T2_RELATIONS[3]
+    assert set(out3["presentation"].formatted_relations()) == \
+        published.U3T2_RELATIONS[3]
     assert out3["series"].coefficients == (1, 0, 1, 1, 1, 1, 0, 1)
     steps3 = {s["generator"]: s for s in out3["steps"]}
     assert steps3["z1"]["raw"] == "2*b1 + b2" and steps3["z1"]["dies"]
