@@ -69,29 +69,6 @@ class AbelianGroup(FrozenRecord):
         object.__setattr__(self, "free_rank", int(free_rank))
         object.__setattr__(self, "torsion", torsion)
 
-    @classmethod
-    def from_cyclic_orders(cls, orders):
-        """Canonicalize Z/n1 + Z/n2 + ... (0 meaning Z) into invariant factors."""
-        free = sum(1 for n in orders if n == 0)
-        primary = {}
-        for n in orders:
-            if n in (0, 1):
-                continue
-            for p, e in _factor(n).items():
-                primary.setdefault(p, []).append(e)
-        for p in primary:
-            primary[p].sort(reverse=True)
-        k = max((len(v) for v in primary.values()), default=0)
-        factors = []
-        for i in range(k):
-            d = 1
-            for p, exps in primary.items():
-                if i < len(exps):
-                    d *= p ** exps[i]
-            factors.append(d)
-        factors.reverse()
-        return cls(free, factors)
-
     @property
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
@@ -107,19 +84,6 @@ class AbelianGroup(FrozenRecord):
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _factor(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def cohomology_at(d_in, d_out):
@@ -164,18 +128,21 @@ def cohomology_dim_modp(d_in, d_out, p):
 
 
 def p_primary(g, p):
-    """Free part plus p-primary torsion: the group localized at p."""
+    """Free part plus p-primary torsion: the group localized at p.
+
+    Each invariant factor t becomes its p-part p^v_p(t); v_p grows along a
+    divisibility chain, so the p-parts are again one.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    orders = [0] * g.free_rank
+    parts = []
     for t in g.torsion:
         pk = 1
         while t % p == 0:
             pk *= p
             t //= p
-        if pk > 1:
-            orders.append(pk)
-    return AbelianGroup.from_cyclic_orders(orders)
+        parts.append(pk)
+    return AbelianGroup(g.free_rank, parts)
 
 
 class PoincareSeries(FrozenRecord):

@@ -268,13 +268,17 @@ def cmd_serre(args, report):
         raise CommandError("serre needs --prime")
     _check_prime(prime)
     res = get_resolution()
+    order = res.group.order
+    if config["group_order"] != order:
+        raise CommandError(
+            f'bad fibration config: "group_order" is {config["group_order"]}, '
+            f"but the base group {res.group.name} has order {order}")
     reps = fiber_reps_from_config(config)
     try:
         page = serre_e2_over_bg(res, reps, prime)
         spec = solve_unique(page, config["top_dimension"])
         stable = run_to_e_infinity(page, spec)
-        graded = assemble_total(stable, config["group_order"],
-                                config["top_dimension"])
+        graded = assemble_total(stable, order, config["top_dimension"])
     except (NoSolution, Ambiguous) as exc:      # only solve_unique raises these
         raise CommandError(f"forced-differential solver: {exc}")
     except (RankTooLarge, SearchBudget) as exc:

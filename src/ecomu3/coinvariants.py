@@ -144,9 +144,7 @@ class CoinvariantAlgebra:
                 nf = self.normal_form(self.permute(g, {b: 1}))
                 col = [0] * len(basis)
                 for m, c in nf.items():
-                    if not (isinstance(c, int) or c.denominator == 1):
-                        raise ValueError(f"non-integral coefficient {c} in {nf}")
-                    col[index[m]] = int(c)
+                    col[index[m]] = c
                 cols.append(col)
             gens[g] = IntMatrix.from_columns(cols, rows=len(basis)) if basis \
                 else IntMatrix.zero(0, 0)
@@ -167,11 +165,12 @@ def coinvariant_algebra(n):
 
 
 def integral_isomorphisms(mod_a, mod_b):
-    """All unimodular T with T a(g) = b(g) T for every generator, up to search.
+    """One T invertible over Z with T a(g) = b(g) T for every generator, or
+    None when the search finds none.
 
-    Returns one witness T per isomorphism (or None).  T is found by solving
-    the integer linear system for the entries of T and searching small
-    combinations of the solution lattice for determinant +-1.
+    T is found by solving the integer linear system for the entries of T and
+    searching small combinations of the solution lattice for one whose
+    invariant factors are r ones: full rank and unit factors, so |det T| = 1.
     """
     from .matrix import IntMatrix
     if mod_a.rank != mod_b.rank:
@@ -191,7 +190,7 @@ def integral_isomorphisms(mod_a, mod_b):
                     row[i * r + k] += a[k, j]
                     row[k * r + j] -= b[i, k]
                 rows.append(row)
-    from .linalg import kernel_basis_reduced
+    from .linalg import invariant_factors, kernel_basis_reduced
     basis = kernel_basis_reduced(IntMatrix.from_rows(rows))
     if not basis:
         return None
@@ -202,30 +201,9 @@ def integral_isomorphisms(mod_a, mod_b):
             continue
         vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(r * r)]
         T = IntMatrix(r, r, vec)
-        if abs(_det(T)) == 1:
+        if invariant_factors(T) == [1] * r:
             return T
     return None
-
-
-def _det(M):
-    n = M.rows
-    a = M.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
 
 
 def identify_in_catalog(module, catalog):

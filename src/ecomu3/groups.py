@@ -87,10 +87,6 @@ class FiniteGroup:
             classes.append(sorted(cls))
         return classes
 
-    def descriptor(self):
-        """Stable content string; modules combine only over equal descriptors."""
-        return f"{self.name}|{sorted(self.elements)!r}|{self.generators!r}"
-
     def __repr__(self):
         return f"FiniteGroup({self.name or 'order %d' % self.order})"
 
@@ -136,8 +132,7 @@ class GroupModule:
         self.rank = rank
         self.name = name
         self._matrices = {}
-        action = {tuple(g): IntMatrix.from_rows(m.to_lists() if isinstance(m, IntMatrix) else m)
-                  for g, m in generator_action.items()}
+        action = {tuple(g): m for g, m in generator_action.items()}
         for g, m in action.items():
             if (m.rows, m.cols) != (rank, rank):
                 raise ShapeMismatch(f"action of {g} is {m.rows}x{m.cols}")
@@ -178,7 +173,7 @@ class GroupModule:
         return out
 
     def tensor(self, other):
-        if other.group.descriptor() != self.group.descriptor():
+        if other.group is not self.group:
             raise ValueError("modules over different groups")
         gens = {}
         for g in self.group.generators:
@@ -251,12 +246,8 @@ def standard_modules(n):
             tau: IntMatrix.from_rows([[0, 1], [1, 0]]),
         }, name="standard")
         catalog["standard"] = std
-        ms = std.tensor(catalog["sign"])
-        ms.name = "standard(x)sign"
-        catalog["standard(x)sign"] = ms
-        mm = std.tensor(std)
-        mm.name = "standard(x)standard"
-        catalog["standard(x)standard"] = mm
+        catalog["standard(x)sign"] = std.tensor(catalog["sign"])
+        catalog["standard(x)standard"] = std.tensor(std)
     # sign and standard are verified by their constructors, the rest here
     for name in ("trivial", "standard(x)sign", "standard(x)standard"):
         if name in catalog:

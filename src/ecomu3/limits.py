@@ -70,7 +70,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .diagram import commutes
-from .matrix import EchelonBasis
+from .matrix import EchelonBasis, sparse_rows
 
 
 class NonVanishingLim2(RuntimeError):
@@ -87,15 +87,6 @@ def complex_sizes(poset, dims):
     """(n0, n1, n2), the sizes of C^0, C^1 and C^2 for object dimensions dims."""
     return (sum(dims), sum(dims[b] for _, b in poset.chains2),
             sum(dims[c] for _, _, c in poset.chains3))
-
-
-def sparse_rows(m, offset, sign, p):
-    """The rows of sign * m mod p as sparse ``{index: value}`` dicts, with
-    m's columns at the indices from offset on."""
-    n = m.cols
-    return [{offset + j: sign * e % p
-             for j, e in enumerate(m.entries[i * n:(i + 1) * n]) if e % p}
-            for i in range(m.rows)]
 
 
 def cosimplicial_complex(diagram, k):

@@ -1,14 +1,14 @@
 """The integer matrix type and linear algebra over prime fields.
 
 Matrix entries are Python ints.  Every rank over F_p is taken by inserting
-sparse rows into an :class:`EchelonBasis` (:func:`modp_rank`, the hexagon
-and the image in (0,1,2) of the higher limits, once per block and per
-variant in the robustness sweep, the Koszul oracle), because those matrices
-are mostly identity and zero blocks.  :func:`modp_rref`
-is the dense reducer that solutions, kernels and normal forms read, and the
-tests' independent oracle for those ranks.  Smith normal form and integer
-kernels, which the limits and the robustness sweep never use, are in
-:mod:`ecomu3.linalg`.
+sparse rows (:func:`sparse_rows`) into an :class:`EchelonBasis`
+(:func:`modp_rank`, the hexagon and the image in (0,1,2) of the higher
+limits, once per block and per variant in the robustness sweep, the Koszul
+oracle), because those matrices are mostly identity and zero blocks.
+:func:`modp_rref` is the dense reducer that solutions, kernels and normal
+forms read, and the tests' independent oracle for those ranks.  Smith normal
+form and integer kernels, which the limits and the robustness sweep never
+use, are in :mod:`ecomu3.linalg`.
 
 A matrix with ``rows`` rows and ``cols`` columns represents a homomorphism
 Z^cols -> Z^rows (or F_p^cols -> F_p^rows) acting on column vectors.
@@ -222,11 +222,17 @@ def is_prime(p):
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
+def sparse_rows(m, offset, sign, p):
+    """The rows of sign * m mod p as sparse ``{index: value}`` dicts, with
+    m's columns at the indices from offset on."""
+    n = m.cols
+    return [{offset + j: sign * e % p
+             for j, e in enumerate(m.entries[i * n:(i + 1) * n]) if e % p}
+            for i in range(m.rows)]
+
+
 def modp_rank(A, p):
-    n, e = A.cols, A.entries
-    return EchelonBasis(p).insert_all(
-        {j: v % p for j, v in enumerate(e[i * n:(i + 1) * n]) if v % p}
-        for i in range(A.rows))
+    return EchelonBasis(p).insert_all(sparse_rows(A, 0, 1, p))
 
 
 def modp_solve(A, b, p):

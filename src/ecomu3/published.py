@@ -13,7 +13,8 @@ from .abelian import AbelianGroup, PoincareSeries
 
 
 def _g(spec):
-    """'Z', 'Z/2', 'Z+Z/3+Z/3', '0' -> AbelianGroup."""
+    """'Z', 'Z/2', 'Z+Z/3+Z/3', '0' -> AbelianGroup; the torsion parts are
+    its invariant factors, so they must form a divisibility chain."""
     if spec == "0":
         return AbelianGroup()
     free = 0
@@ -26,7 +27,7 @@ def _g(spec):
             free += int(part[2:])
         else:
             torsion.append(int(part.split("/")[1]))
-    return AbelianGroup.from_cyclic_orders([0] * free + torsion)
+    return AbelianGroup(free, torsion)
 
 
 def table(*specs):

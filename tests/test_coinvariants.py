@@ -104,10 +104,42 @@ def test_degree_representations(algebra):
         algebra.degree_representation(d).verify_homomorphism()
 
 
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j]
+               * _cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)))
+
+
+def assert_witness(T, a, b):
+    """T a(g) = b(g) T for every generator g, and |det T| = 1."""
+    for g in a.group.generators:
+        assert T * a.action_matrix(g) == b.action_matrix(g) * T, g
+    assert abs(_cofactor_det(T.to_lists())) == 1, T.to_lists()
+
+
 def test_degree_one_and_two_integrally_isomorphic(algebra):
     r1 = algebra.degree_representation(1)
     r2 = algebra.degree_representation(2)
-    assert integral_isomorphisms(r1, r2) is not None
+    assert_witness(integral_isomorphisms(r1, r2), r1, r2)
+
+
+def test_catalog_pairs_of_equal_rank(catalog):
+    """Each module is isomorphic to itself by a witness, and to no other
+    module of its rank: sign is not trivial, and standard(x)sign has the
+    standard character but is not isomorphic to it over Z."""
+    pairs = 0
+    for x, a in catalog.items():
+        for y, b in catalog.items():
+            if a.rank != b.rank:
+                continue
+            T = integral_isomorphisms(a, b)
+            assert (T is not None) == (x == y), (x, y)
+            if T is not None:
+                assert_witness(T, a, b)
+            pairs += 1
+    assert pairs == 9
 
 
 def test_standard_not_isomorphic_to_twist(catalog):

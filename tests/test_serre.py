@@ -222,7 +222,7 @@ def test_targets_past_the_window_are_consumed():
     (10,7), past the window, which holds one order-3 class: once d5 has used
     it, d6 cannot, and no assignment kills everything above degree 14."""
     residues = {7: 2, 11: 1, 12: 0}
-    page = BigradedPage(3, 2, 4, 16, {
+    page = BigradedPage(3, 4, {
         q: (lambda c, r=r: (0, int(c >= 1 and c % 4 == r)))
         for q, r in residues.items()})
     tors, free = serre._torsion_and_free(page)
@@ -246,7 +246,7 @@ def _random_page(rng):
         col0 = (rng.randint(0, 1), rng.randint(0, 1))
         templates[q] = (lambda c, pattern=pattern, col0=col0:
                         col0 if c == 0 else (0, pattern[c % period]))
-    return BigradedPage(p, 2, period, serre.WINDOW, templates)
+    return BigradedPage(p, period, templates)
 
 
 def test_no_spec_uses_a_class_twice(monkeypatch):
@@ -266,7 +266,7 @@ def test_no_spec_uses_a_class_twice(monkeypatch):
             used = Counter()
             for mv in spec.moves:
                 (c0, q), tq = mv.source, mv.target[1]
-                columns = (range(c0, page.window - q + 1, page.period)
+                columns = (range(c0, serre.WINDOW - q + 1, page.period)
                            if mv.periodic else [c0])
                 for c in columns:
                     if mv.kind == "torsion":
@@ -317,7 +317,7 @@ def test_euler_characteristic_preserved(resolution, flbar3, fl3xfl3):
                 cols = _family_slots(page, mv) if mv.periodic else [mv.source[0]]
                 for c in cols:
                     n = c + mv.source[1]
-                    out = c + mv.page + mv.target[1] > page.window
+                    out = c + mv.page + mv.target[1] > serre.WINDOW
                     if mv.kind == "torsion" and out:
                         drift -= (-1) ** n * mv.rank
                     elif mv.kind == "free" and not out:
@@ -350,4 +350,4 @@ def test_palindromic_series_for_closed_manifolds(resolution, flbar3, fl3xfl3):
 
 def test_transfer_bound_enforced():
     with pytest.raises(RankTooLarge):
-        assemble_total(BigradedPage(3, 2, 4, 16, {}), 9, 6)
+        assemble_total(BigradedPage(3, 4, {}), 9, 6)
