@@ -128,11 +128,8 @@ def cohomology_dim_modp(d_in, d_out, p):
 
 
 def p_primary(g, p):
-    """Free part plus p-primary torsion: the group localized at p.
-
-    Each invariant factor t becomes its p-part p^v_p(t); v_p grows along a
-    divisibility chain, so the p-parts are again one.
-    """
+    """Free part plus p-primary torsion: the group localized at p.  Each
+    invariant factor t becomes p^v_p(t); v_p grows along a chain."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     parts = []

@@ -59,10 +59,7 @@ BAD_INPUTS = [
     ["holim", "limits", "--prime", "3", "--diagram", "EMPTY_OBJECT"],
     ["ecom-u3", "--prime", "2", "--diagram", "EMPTY_LIST"],
     ["serre", "UNKNOWN_MODULE", "--prime", "2"],
-    # serre resolves over S3, so "group_order" must be 6
     ["serre", "SQUARE_IN_GROUP_ORDER", "--prime", "2"],
-    ["serre", "GROUP_ORDER_9", "--prime", "3"],
-    ["serre", "GROUP_ORDER_1", "--prime", "2"],
     ["holim", "limits", "--diagram", "DIAGRAM_PRIME_4"],
     ["holim", "validate", "--diagram", "DIAGRAM_WRONG_DIMS"],
     ["holim", "validate", "--diagram", "DIAGRAM_ZERO_PIN"],
@@ -102,6 +99,10 @@ BAD_INPUTS = [
     ["holim", "validate", "--diagram", "DIAGRAM_HUGE_MAX_DEGREE"],
     # H^18(BS3) = Z/2 at p=2, past the page's window
     ["serre", "CONFIG_TOP_PAST_WINDOW", "--prime", "2"],
+    # serre resolves over S3, so "group_order" must be 6 (as in
+    # SQUARE_IN_GROUP_ORDER above, 12)
+    ["serre", "GROUP_ORDER_9", "--prime", "3"],
+    ["serre", "GROUP_ORDER_1", "--prime", "2"],
 ]
 
 
