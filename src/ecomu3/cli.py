@@ -61,6 +61,7 @@ from importlib import resources
 from .report import Report
 
 RESOLUTION_LENGTH = 15
+GROUP_NAMES = ("s3", "sym3", "σ3")     # of the base group, in lower case
 
 
 class CommandError(RuntimeError):
@@ -89,39 +90,45 @@ def _parse_poly(text):
         raise CommandError(f"bad polynomial {quoted(text)}: {exc}")
 
 
-def _read_file(path, what):
+def _input_text(path, what, bundled=None, missing=None):
+    """The file at ``path`` or, without one, the bundled data file
+    ``bundled``, whose absence is the error ``missing``."""
     try:
+        if not path:
+            return resources.files("ecomu3.data").joinpath(bundled).read_text()
         with open(path) as fh:
             return fh.read()
-    except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
-        raise CommandError(f"cannot read {what}: {exc}")
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the name
+        raise CommandError(f"cannot read {what}: {exc}" if path else missing)
 
 
 def _parse_json(text, what):
+    """Parsed JSON text; ``json`` would keep the last of a repeated key."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise CommandError(f"bad {what}: key {key!r} given twice")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise CommandError(f"bad {what}: {exc}")
 
 
-def load_config(name_or_path):
-    if os.path.exists(name_or_path):
-        text = _read_file(name_or_path, "fibration config")
-    else:
-        try:
-            text = resources.files("ecomu3.data").joinpath(
-                f"{name_or_path}.json").read_text()
-        except (OSError, ValueError):           # ValueError: a NUL in the name
-            raise CommandError(f"no such fibration config: {name_or_path}")
-    config = _parse_json(text, "fibration config")
-    _check_config(config)
-    return config, text
-
-
-def _check_config(config):
-    """Refuse a fibration config without the keys and types ``serre`` reads,
-    or with a top dimension past what a page can decide."""
+def read_config(name_or_path, report):
+    """``(config, {fiber degree: [module]})`` of a config path or bundled
+    name, its text hashed into ``report`` and every field ``serre`` reads
+    checked: each fiber degree is one of "0".."WINDOW" and each module a
+    catalog name, and a group named is the base group S3."""
+    from .groups import resolve_module_name, standard_modules, symmetric_group
     from .serre import WINDOW
+    path = name_or_path if os.path.exists(name_or_path) else None
+    text = _input_text(path, "fibration config", f"{name_or_path}.json",
+                       f"no such fibration config: {name_or_path}")
+    config = _parse_json(text, "fibration config")
 
     def need(ok, what):
         if not ok:
@@ -129,14 +136,23 @@ def _check_config(config):
 
     need(isinstance(config, dict), "not a JSON object")
     need(isinstance(config.get("name", ""), str), '"name" must be a string')
+    report.add_input_hash(config.get("name", name_or_path), text)
     fiber = config.get("fiber")
     need(isinstance(fiber, dict), '"fiber" must map fiber degrees to modules')
-    for row, entries in fiber.items():
-        need(row.isascii() and row.isdigit(),
-             f"fiber degree {row!r} is not an integer >= 0")
-        need(isinstance(entries, list)
-             and all(isinstance(e, str) for e in entries),
+    degrees = {str(q): q for q in range(WINDOW + 1)}
+    catalog = standard_modules(3)
+    reps = {}
+    for row, names in fiber.items():
+        need(row in degrees,
+             f'fiber degree {row!r} is not one of "0", "1", ..., "{WINDOW}"')
+        need(isinstance(names, list) and all(isinstance(e, str) for e in names),
              f"fiber degree {row}: each module must be a name")
+        modules = reps[degrees[row]] = []
+        for name in names:
+            try:
+                modules.append(catalog[resolve_module_name(name)])
+            except KeyError:
+                raise CommandError(f"unknown module {name!r} in the fiber")
     for key, least in (("top_dimension", 0), ("group_order", 1)):
         need(type(config.get(key)) is int and config[key] >= least,
              f'"{key}" must be an integer >= {least}')
@@ -145,20 +161,14 @@ def _check_config(config):
     need(config["top_dimension"] <= WINDOW - 1,
          f'"top_dimension" must be at most {WINDOW - 1}: a page stores total '
          f'degrees 0..{WINDOW}, and H^n needs degree n + 1')
-
-
-def fiber_reps_from_config(config):
-    from .groups import resolve_module_name, standard_modules
-    catalog = standard_modules(3)
-    reps = {}
-    for row, names in config["fiber"].items():
-        modules = reps[int(row)] = []
-        for name in names:
-            try:
-                modules.append(catalog[resolve_module_name(name)])
-            except KeyError:
-                raise CommandError(f"unknown module {name!r} in the fiber")
-    return reps
+    group = symmetric_group(3)
+    named = config.get("group", group.name)
+    need(isinstance(named, str) and named.lower() in GROUP_NAMES,
+         f'"group" is {named!r}, but the base group is {group.name}')
+    need(config["group_order"] == group.order,
+         f'"group_order" is {config["group_order"]}, but the base group '
+         f"{group.name} has order {group.order}")
+    return config, reps
 
 
 # --- subcommands -------------------------------------------------------------
@@ -167,7 +177,7 @@ def fiber_reps_from_config(config):
 def cmd_snf(args, report):
     from .linalg import IntMatrix, smith_normal_form
     if os.path.exists(args.matrix):
-        text = _read_file(args.matrix, "matrix")
+        text = _input_text(args.matrix, "matrix")
         report.add_input_hash(args.matrix, text)
     else:
         text = args.matrix
@@ -189,7 +199,7 @@ def cmd_grpcoh(args, report):
     from .abelian import p_primary
     from .groups import resolve_module_name, standard_modules
     from .resolution import group_cohomology_table
-    if args.group.lower() not in ("s3", "sym3", "σ3"):
+    if args.group.lower() not in GROUP_NAMES:
         raise CommandError(f"unknown group {args.group!r} (the catalog has S3)")
     try:
         name = resolve_module_name(args.module)
@@ -261,34 +271,24 @@ def cmd_serre(args, report):
     from .serre import (Ambiguous, NoSolution, RankTooLarge, SearchBudget,
                         assemble_total, run_to_e_infinity, serre_e2_over_bg,
                         solve_unique)
-    config, text = load_config(args.config)
-    report.add_input_hash(config.get("name", args.config), text)
-    prime = args.prime
-    if prime is None:
-        raise CommandError("serre needs --prime")
-    _check_prime(prime)
+    config, reps = read_config(args.config, report)
+    _check_prime(args.prime)
     res = get_resolution()
-    order = res.group.order
-    if config["group_order"] != order:
-        raise CommandError(
-            f'bad fibration config: "group_order" is {config["group_order"]}, '
-            f"but the base group {res.group.name} has order {order}")
-    reps = fiber_reps_from_config(config)
     try:
-        page = serre_e2_over_bg(res, reps, prime)
+        page = serre_e2_over_bg(res, reps, args.prime)
         spec = solve_unique(page, config["top_dimension"])
         stable = run_to_e_infinity(page, spec)
-        graded = assemble_total(stable, order, config["top_dimension"])
+        graded = assemble_total(stable, res.group.order, config["top_dimension"])
     except (NoSolution, Ambiguous) as exc:      # only solve_unique raises these
         raise CommandError(f"forced-differential solver: {exc}")
     except (RankTooLarge, SearchBudget) as exc:
         raise CommandError(f"{type(exc).__name__}: {exc}")
-    series = mod_p_series(graded, prime)
+    series = mod_p_series(graded, args.prime)
     report.add_result("e2_page", page.to_json())
     report.add_result("differentials", spec.describe(page.period))
     report.add_result("cohomology", [str(g) for g in graded])
     report.add_result("mod_p_series", list(series.coefficients))
-    _check_published_serre(config.get("name"), prime, graded, series, report)
+    _check_published_serre(config.get("name"), args.prime, graded, series, report)
 
 
 def _check_published_serre(name, prime, graded, series, report):
@@ -369,16 +369,10 @@ def _assembled_dims(diagram, report):
 def _validated_diagram(args, report):
     """The ``--diagram`` file, or the bundled diagram of ``--prime`` (2 if
     not given), read on every call and validated by :func:`_diagram_of_text`."""
-    if args.diagram:
-        name, text = args.diagram, _read_file(args.diagram, "diagram")
-    else:
-        prime = 2 if args.prime is None else args.prime
-        name = f"diagram_p{prime}.json"
-        try:
-            text = resources.files("ecomu3.data").joinpath(name).read_text()
-        except FileNotFoundError:
-            raise CommandError(f"no bundled diagram for --prime {prime} "
-                               "(bundled: 2, 3)")
+    prime = 2 if args.prime is None else args.prime
+    name = args.diagram or f"diagram_p{prime}.json"
+    text = _input_text(args.diagram, "diagram", name,
+                       f"no bundled diagram for --prime {prime} (bundled: 2, 3)")
     report.add_input_hash(name, text)
     diagram = _diagram_of_text(text)
     if args.diagram and args.prime not in (None, diagram.prime):
@@ -394,13 +388,10 @@ def _diagram_of_text(text):
     Keyed on the text, so a changed file is validated again; an error is not
     cached but raised again.  Callers only read the diagram it returns."""
     from .diagram import ConstraintViolation, FunctorialityViolation, PosetDiagram
-    from .matrix import is_prime
     try:
         diagram = PosetDiagram.from_json(_parse_json(text, "diagram"))
     except ValueError as exc:   # a wrong shape or a non-integer entry
         raise CommandError(f"bad diagram: {exc}")
-    if not is_prime(diagram.prime):
-        raise CommandError(f"bad diagram: prime {diagram.prime} is not prime")
     try:
         diagram.validate()
     except (FunctorialityViolation, ConstraintViolation) as exc:

@@ -18,7 +18,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .matrix import IntMatrix, modp_rank
+from .matrix import IntMatrix, is_prime, modp_rank
 from .poset import PosetSn
 
 
@@ -145,95 +145,81 @@ class PosetDiagram:
 
     @classmethod
     def from_json(cls, obj):
-        """The diagram of a parsed file; DiagramFormatError (or ValueError for
-        a non-integer matrix entry) if its shape is wrong."""
-        _check_shape(obj)
+        """The diagram of a parsed file; DiagramFormatError (or ValueError
+        for a non-integer matrix entry) unless ``obj`` has every key and type
+        this and :meth:`validate` read, and only records ``validate`` can
+        check: a prime, maps and constraints on strict containments in
+        degrees "0".."max_degree" (each written one way), a ``dims`` entry
+        per degree, and no arrow, or arrow and degree, given twice."""
+        def need(ok, what):
+            if not ok:
+                raise DiagramFormatError(what)
+
+        def is_int(x):
+            return type(x) is int          # JSON true/false are not indices
+
+        poset = PosetSn(2)
+        need(isinstance(obj, dict), "not a JSON object")
+        need(is_int(obj.get("prime")), '"prime" must be an integer')
+        need(is_prime(obj["prime"]), f"prime {obj['prime']} is not prime")
+        top = obj.get("max_degree")
+        need(is_int(top) and top >= 0, '"max_degree" must be an integer >= 0')
+        dims = obj.get("dims")
+        need(isinstance(dims, dict)
+             and set(dims) == {str(i) for i in range(len(poset))},
+             f'"dims" must have the keys "0".."{len(poset) - 1}"')
+        for i, v in dims.items():
+            need(isinstance(v, list) and all(is_int(e) and e >= 0 for e in v),
+                 f'"dims" of object {i} must be a list of integers >= 0')
+            need(len(v) == top + 1,
+                 f'"dims" of object {i} must have max_degree + 1 entries')
+        records = obj.get("maps")
+        need(isinstance(records, list), '"maps" must be a list')
+        degrees = {str(k): k for k in range(top + 1)}
         maps = {}
-        for rec in obj["maps"]:
-            per = {}
+        for rec in records:
+            need(isinstance(rec, dict) and is_int(rec.get("from"))
+                 and is_int(rec.get("to"))
+                 and (rec["from"], rec["to"]) in poset.chains2,
+                 'each map needs "from" and "to", the indices of a strict '
+                 'containment')
+            need(isinstance(rec.get("degrees"), dict),
+                 'each map needs "degrees", keyed by degrees "0", "1", ...')
+            arrow = rec["from"], rec["to"]
+            need(arrow not in maps, f"two maps along {arrow}")
+            per = maps[arrow] = {}
             for k, data in rec["degrees"].items():
-                per[int(k)] = IntMatrix.from_int_rows(data)
-            maps[(rec["from"], rec["to"])] = per
+                need(k in degrees, f'map {arrow}: degree {k!r} is not one of '
+                                   f'"0", "1", ..., "{top}"')
+                per[degrees[k]] = IntMatrix.from_int_rows(data)
+        records = obj.get("constraints", [])
+        need(isinstance(records, list), '"constraints" must be a list')
         constraints = {}
-        for rec in obj.get("constraints", []):
-            constraints[(rec["from"], rec["to"], rec["degree"])] = rec["pins"]
-        return cls(obj["prime"], obj["dims"], maps, obj["max_degree"],
+        for rec in records:
+            need(isinstance(rec, dict)
+                 and all(is_int(rec.get(key)) for key in ("from", "to", "degree"))
+                 and isinstance(rec.get("pins"), list)
+                 and all(isinstance(pin, dict) and isinstance(pin.get("kind"), str)
+                         for pin in rec["pins"]),
+                 'each constraint needs integer "from", "to", "degree" and a '
+                 'list of "pins" with a "kind"')
+            key = rec["from"], rec["to"], rec["degree"]
+            need(key[:2] in poset.chains2,
+                 f"constraint {key}: from and to must be a strict containment")
+            need(0 <= key[2] <= top,
+                 f"constraint {key}: degree outside 0..max_degree")
+            need(key not in constraints, f"two constraints at {key}")
+            need(all(is_int(pin.get("value")) for pin in rec["pins"]
+                     if pin["kind"] == "rank"), 'a "rank" pin needs a "value"')
+            constraints[key] = rec["pins"]
+        need(isinstance(obj.get("provenance") or {}, dict),
+             '"provenance" must be an object')
+        notes = obj.get("notes") or []
+        need(isinstance(notes, list) and all(isinstance(n, str) for n in notes),
+             '"notes" must be a list of strings')
+        return cls(obj["prime"], dims, maps, top,
                    provenance=obj.get("provenance"), constraints=constraints,
-                   notes=obj.get("notes"))
-
-
-def _check_shape(obj):
-    """Raise DiagramFormatError unless ``obj`` has every key and type that
-    :meth:`PosetDiagram.from_json` and :meth:`PosetDiagram.validate` read.
-    Only records that ``validate`` can check pass: each map and constraint
-    is on a strict containment, a constraint's degree is in 0..max_degree,
-    each object's ``dims`` list has one entry per degree 0..max_degree, and
-    no two maps share an arrow or two constraints an (arrow, degree)."""
-    def need(ok, what):
-        if not ok:
-            raise DiagramFormatError(what)
-
-    def is_int(x):
-        return type(x) is int          # JSON true/false are not indices
-
-    def is_degree(key):
-        return isinstance(key, str) and key.isascii() and key.isdigit()
-
-    poset = PosetSn(2)
-    need(isinstance(obj, dict), "not a JSON object")
-    need(is_int(obj.get("prime")), '"prime" must be an integer')
-    need(is_int(obj.get("max_degree")) and obj["max_degree"] >= 0,
-         '"max_degree" must be an integer >= 0')
-    dims = obj.get("dims")
-    need(isinstance(dims, dict)
-         and set(dims) == {str(i) for i in range(len(poset))},
-         f'"dims" must have the keys "0".."{len(poset) - 1}"')
-    for i, v in dims.items():
-        need(isinstance(v, list) and all(is_int(e) and e >= 0 for e in v),
-             f'"dims" of object {i} must be a list of integers >= 0')
-        need(len(v) == obj["max_degree"] + 1,
-             f'"dims" of object {i} must have max_degree + 1 entries')
-    maps = obj.get("maps")
-    need(isinstance(maps, list), '"maps" must be a list')
-    arrows = set()
-    for rec in maps:
-        need(isinstance(rec, dict) and is_int(rec.get("from"))
-             and is_int(rec.get("to"))
-             and (rec["from"], rec["to"]) in poset.chains2,
-             'each map needs "from" and "to", the indices of a strict '
-             'containment')
-        need(isinstance(rec.get("degrees"), dict)
-             and all(map(is_degree, rec["degrees"])),
-             'each map needs "degrees", keyed by degrees "0", "1", ...')
-        arrow = rec["from"], rec["to"]
-        need(arrow not in arrows, f"two maps along {arrow}")
-        arrows.add(arrow)
-    constraints = obj.get("constraints", [])
-    need(isinstance(constraints, list), '"constraints" must be a list')
-    keys = set()
-    for rec in constraints:
-        need(isinstance(rec, dict)
-             and all(is_int(rec.get(key)) for key in ("from", "to", "degree"))
-             and isinstance(rec.get("pins"), list)
-             and all(isinstance(pin, dict) and isinstance(pin.get("kind"), str)
-                     for pin in rec["pins"]),
-             'each constraint needs integer "from", "to", "degree" and a '
-             'list of "pins" with a "kind"')
-        key = rec["from"], rec["to"], rec["degree"]
-        need(key[:2] in poset.chains2,
-             f"constraint {key}: from and to must be a strict containment")
-        need(0 <= key[2] <= obj["max_degree"],
-             f"constraint {key}: degree outside 0..max_degree")
-        need(key not in keys, f"two constraints at {key}")
-        keys.add(key)
-        for pin in rec["pins"]:
-            if pin["kind"] == "rank":
-                need(is_int(pin.get("value")), 'a "rank" pin needs a "value"')
-    need(isinstance(obj.get("provenance") or {}, dict),
-         '"provenance" must be an object')
-    notes = obj.get("notes") or []
-    need(isinstance(notes, list) and all(isinstance(n, str) for n in notes),
-         '"notes" must be a list of strings')
+                   notes=notes)
 
 
 def load_bundled(prime):

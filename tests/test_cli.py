@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,15 @@ BAD_INPUTS = [
     # SQUARE_IN_GROUP_ORDER above, 12)
     ["serre", "GROUP_ORDER_9", "--prime", "3"],
     ["serre", "GROUP_ORDER_1", "--prime", "2"],
+    # records each read in the last that named its degree, or never read: a
+    # config's group other than S3, a key given twice, a degree not written
+    # "0", "1", ... or past the last degree read
+    ["serre", "CONFIG_GROUP_A4", "--prime", "3"],
+    ["serre", "CONFIG_DEGREE_0_TWICE", "--prime", "2"],
+    ["serre", "CONFIG_DEGREES_0_AND_00", "--prime", "2"],
+    ["holim", "limits", "--diagram", "DIAGRAM_DEGREES_7_AND_07"],
+    ["holim", "limits", "--diagram", "DIAGRAM_DEGREE_15"],
+    ["serre", "CONFIG_DEGREE_17", "--prime", "2"],
 ]
 
 
@@ -127,6 +138,12 @@ def bad_input_files(directory):
     repeated_pin["constraints"].insert(0, {**repeated_pin["constraints"][0],
                                            "pins": [{"kind": "rank", "value": 99}]})
     repeated_map["maps"].insert(0, {**repeated_map["maps"][0], "degrees": {}})
+    # a zero matrix ahead of the bundled one, which alone was read
+    degrees_7_and_07, degree_15 = (load_bundled(2).to_json() for _ in range(2))
+    rec = next(rec for rec in degrees_7_and_07["maps"] if "7" in rec["degrees"])
+    rec["degrees"] = {"07": [[0] * len(row) for row in rec["degrees"]["7"]],
+                      **rec["degrees"]}
+    degree_15["maps"][0]["degrees"]["15"] = []
     files = {
         "MALFORMED_JSON": '{"name": ',
         "EMPTY_OBJECT": "{}",
@@ -150,6 +167,15 @@ def bad_input_files(directory):
             {"name": "bs3", "group_order": 6, "top_dimension": 20,
              "fiber": {"0": ["trivial"]}}),
         "BUNDLED_P3": json.dumps(load_bundled(3).to_json()),
+        "CONFIG_GROUP_A4": json.dumps({**flbar3, "group": "A4"}),
+        "CONFIG_DEGREE_0_TWICE": json.dumps(flbar3).replace(
+            '"fiber": {"0": ["trivial"]', '"fiber": {"0": ["sign"], "0": ["trivial"]'),
+        "CONFIG_DEGREES_0_AND_00": json.dumps(
+            {**flbar3, "fiber": {"00": ["sign"], **flbar3["fiber"]}}),
+        "DIAGRAM_DEGREES_7_AND_07": json.dumps(degrees_7_and_07),
+        "DIAGRAM_DEGREE_15": json.dumps(degree_15),
+        "CONFIG_DEGREE_17": json.dumps(
+            {**flbar3, "fiber": {**flbar3["fiber"], "17": ["trivial"]}}),
     }
     paths = {}
     for name, text in files.items():
@@ -183,6 +209,23 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     if "CONFIG_OBJECT_ENTRY" in argv:
         assert err == ("error: bad fibration config: fiber degree 0: each "
                        "module must be a name\n"), err
+    if "CONFIG_GROUP_A4" in argv:
+        assert err == ("error: bad fibration config: \"group\" is 'A4', but "
+                       "the base group is S3\n"), err
+    if "CONFIG_DEGREE_0_TWICE" in argv:
+        assert err == "error: bad fibration config: key '0' given twice\n", err
+    for name, degree in (("CONFIG_DEGREES_0_AND_00", "00"),
+                         ("CONFIG_DEGREE_17", "17")):
+        if name in argv:
+            assert err == (f"error: bad fibration config: fiber degree "
+                           f"'{degree}' is not one of \"0\", \"1\", ..., "
+                           f"\"16\"\n"), err
+    for name, degree in (("DIAGRAM_DEGREES_7_AND_07", "07"),
+                         ("DIAGRAM_DEGREE_15", "15")):
+        if name in argv:
+            assert err.startswith("error: bad diagram: map ("), err
+            assert err.endswith(f"): degree '{degree}' is not one of \"0\", "
+                                f"\"1\", ..., \"14\"\n"), err
 
 
 @pytest.mark.parametrize("poly, normal_form", [
@@ -802,3 +845,91 @@ def test_fuzzed_argv_exits_cleanly(argv):
     if code == 1:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+# the bundled inputs, whose readers the mutated copies below must each fail
+BUNDLED_INPUTS = {name: resources.files("ecomu3.data").joinpath(name).read_text()
+                  for name in ("flbar3.json", "fl3xfl3.json", "diagram_p2.json",
+                               "diagram_p3.json")}
+NEEDED = {"prime", "max_degree", "dims", "maps", "fiber", "top_dimension",
+          "group_order", "from", "to", "degrees", "degree", "pins", "kind",
+          "value"}
+UNCHECKED = ("description", "provenance", "notes", "version")
+OTHER_TYPES = [None, True, 1.5, "x", [], {}]
+
+
+def json_paths(value, path=()):
+    """(path, value) of everything under ``value``, a path a tuple of keys."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from json_paths(item, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(file name, parsed JSON, text) of a bundled input with one fault:
+    a key the reader needs dropped, a value of another type, a degree given
+    twice (as "7" and "07", or as "7" twice in the text), or a matrix,
+    ``dims`` or fiber entry that is not an integer (a module name)."""
+    name = draw(st.sampled_from(sorted(BUNDLED_INPUTS)))
+    obj = json.loads(BUNDLED_INPUTS[name])
+    paths = dict(json_paths(obj))
+    kind = draw(st.sampled_from(["drop", "retype", "repeat", "repeat", "entry"]))
+    if kind == "repeat":
+        candidates = [p for p in paths if p[-1] in ("degrees", "fiber") and paths[p]]
+    elif kind == "drop":
+        candidates = [p for p in paths
+                      if p[-1] in NEEDED or p[:1] == ("dims",) and len(p) == 2]
+    else:
+        candidates = [p for p in paths if p[0] not in UNCHECKED
+                      and (kind == "retype" or not isinstance(paths[p], (dict, list)))]
+    *parents, last = draw(st.sampled_from(candidates))
+    container = obj
+    for step in parents:
+        container = container[step]
+    if kind == "drop":
+        del container[last]
+    elif kind in ("retype", "entry"):
+        container[last] = draw(st.sampled_from(
+            [v for v in OTHER_TYPES if type(v) is not type(container[last])]))
+    else:
+        degrees = container[last]
+        key = draw(st.sampled_from(sorted(degrees)))
+        if draw(st.booleans()):
+            degrees["0" + key] = degrees[key]
+        else:           # json keeps one of two equal keys, so splice the text
+            pairs = [(key, degrees[key]), *degrees.items()]
+            container[last] = "REPEATED"
+            return name, json.loads(BUNDLED_INPUTS[name]), json.dumps(obj).replace(
+                '"REPEATED"', "{%s}" % ", ".join(
+                    f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs))
+    return name, obj, json.dumps(obj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_inputs())
+def test_mutated_input_file_is_one_error_line(case):
+    """A reader returns a diagram or raises ValueError, and the CLI refuses
+    the file with one error line."""
+    from ecomu3.diagram import PosetDiagram
+    name, obj, text = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        if name.startswith("diagram"):
+            try:
+                assert isinstance(PosetDiagram.from_json(obj), PosetDiagram)
+            except ValueError:
+                pass
+            argv = ["holim", "validate", "--diagram", path]
+        else:
+            argv = ["serre", path, "--prime", "3"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert (code, out.getvalue()) == (1, ""), (argv, err.getvalue())
+    assert err.getvalue().startswith("error: "), err.getvalue()
+    assert err.getvalue().count("\n") == 1, err.getvalue()
