@@ -105,9 +105,9 @@ BAD_INPUTS = [
     # SQUARE_IN_GROUP_ORDER above, 12)
     ["serre", "GROUP_ORDER_9", "--prime", "3"],
     ["serre", "GROUP_ORDER_1", "--prime", "2"],
-    # records each read in the last that named its degree, or never read: a
-    # config's group other than S3, a key given twice, a degree not written
-    # "0", "1", ... or past the last degree read
+    # a config's group other than S3, a key given twice (json keeps the
+    # last), a degree written "00" or "07" (read as 0 or 7) or past the last
+    # degree read (never read)
     ["serre", "CONFIG_GROUP_A4", "--prime", "3"],
     ["serre", "CONFIG_DEGREE_0_TWICE", "--prime", "2"],
     ["serre", "CONFIG_DEGREES_0_AND_00", "--prime", "2"],
@@ -851,9 +851,11 @@ def test_fuzzed_argv_exits_cleanly(argv):
 BUNDLED_INPUTS = {name: resources.files("ecomu3.data").joinpath(name).read_text()
                   for name in ("flbar3.json", "fl3xfl3.json", "diagram_p2.json",
                                "diagram_p3.json")}
+# keys a file is refused without, wherever they occur in it
 NEEDED = {"prime", "max_degree", "dims", "maps", "fiber", "top_dimension",
           "group_order", "from", "to", "degrees", "degree", "pins", "kind",
           "value"}
+# top-level fields of free content: a value of another type may be read
 UNCHECKED = ("description", "provenance", "notes", "version")
 OTHER_TYPES = [None, True, 1.5, "x", [], {}]
 
@@ -876,15 +878,17 @@ def mutated_inputs(draw):
     name = draw(st.sampled_from(sorted(BUNDLED_INPUTS)))
     obj = json.loads(BUNDLED_INPUTS[name])
     paths = dict(json_paths(obj))
-    kind = draw(st.sampled_from(["drop", "retype", "repeat", "repeat", "entry"]))
+    kind = draw(st.sampled_from(["drop", "retype", "repeat", "entry"]))
     if kind == "repeat":
         candidates = [p for p in paths if p[-1] in ("degrees", "fiber") and paths[p]]
     elif kind == "drop":
         candidates = [p for p in paths
                       if p[-1] in NEEDED or p[:1] == ("dims",) and len(p) == 2]
+    elif kind == "retype":
+        candidates = [p for p in paths if p[0] not in UNCHECKED]
     else:
-        candidates = [p for p in paths if p[0] not in UNCHECKED
-                      and (kind == "retype" or not isinstance(paths[p], (dict, list)))]
+        candidates = [p for p in paths if not isinstance(paths[p], (dict, list))
+                      and (p[0] in ("dims", "fiber") or p[2:3] == ("degrees",))]
     *parents, last = draw(st.sampled_from(candidates))
     container = obj
     for step in parents:
