@@ -18,7 +18,7 @@ AbelianGroup(free_rank=5, torsion=())
 
 from __future__ import annotations
 
-from .matrix import CompositionNonzero, ShapeMismatch, is_prime, modp_rank
+from .matrix import CompositionNonzero, ShapeMismatch, modp_rank, prime_fault
 
 
 class FrozenRecord:
@@ -130,8 +130,8 @@ def cohomology_dim_modp(d_in, d_out, p):
 def p_primary(g, p):
     """Free part plus p-primary torsion: the group localized at p.  Each
     invariant factor t becomes p^v_p(t); v_p grows along a chain."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if fault := prime_fault(p):
+        raise ValueError(fault)
     parts = []
     for t in g.torsion:
         pk = 1

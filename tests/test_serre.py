@@ -1,12 +1,16 @@
 """The additive spectral sequence engine on the two bundled fibrations."""
 
+import json
 import random
 from collections import Counter
+from importlib import resources
 
 import pytest
 
 from ecomu3 import published, serre
 from ecomu3.abelian import AbelianGroup, PoincareSeries, mod_p_series
+from ecomu3.coinvariants import (coinvariant_algebra, identify_in_catalog,
+                                 kunneth_decompose)
 from ecomu3.serre import (Ambiguous, BigradedPage, Move, NoSolution,
                           RankTooLarge, DifferentialSpec, SearchBudget,
                           assemble_total,
@@ -41,6 +45,28 @@ def fl3xfl3(catalog):
             8: [MS] * 2 + [MM],
             10: [MS] * 2,
             12: [T]}
+
+
+def test_bundled_fiber_rows_are_the_engines(catalog):
+    """Each row of ``fl3xfl3`` is the Kunneth decomposition of its degree,
+    and row 2a of ``flbar3`` the coinvariant algebra's degree-a module."""
+    def fiber(name):
+        text = resources.files("ecomu3.data").joinpath(f"{name}.json").read_text()
+        return {int(d): names for d, names in json.loads(text)["fiber"].items()}
+
+    assert fiber("fl3xfl3") == {d: kunneth_decompose(d) for d in range(0, 13, 2)}
+    algebra = coinvariant_algebra(3)
+    assert fiber("flbar3") == {
+        2 * a: [identify_in_catalog(algebra.degree_representation(a), catalog)]
+        for a in range(4)}
+
+
+@pytest.mark.parametrize("column, entry, fault", [(0, (1, 1), "torsion"),
+                                                  (1, (1, 0), "free part")])
+def test_page_is_free_in_column_0_and_torsion_elsewhere(column, entry, fault):
+    """H^0(G; M) = M^G is free, and |G| kills every higher H^c(G; M)."""
+    with pytest.raises(RankTooLarge, match=f"^{fault} in column {column} of row 2$"):
+        BigradedPage(3, 4, {2: lambda c: entry if c == column else (0, 0)})
 
 
 def test_flbar3_e2_entries(resolution, flbar3):
@@ -121,7 +147,7 @@ def test_fl3xfl3_unique_solutions_and_answers(resolution, fl3xfl3):
         assert graded == table, f"p={p}"
         assert mod_p_series(graded, p).coefficients == series.coefficients
         # the top free class supports one differential from its free part
-        free_moves = [m for m in specs[0].moves if m.kind == "free"]
+        free_moves = [m for m in specs[0].moves if not m.periodic]
         assert len(free_moves) == 1
         assert free_moves[0].source == (0, 12)
 
@@ -210,11 +236,11 @@ def test_targets_past_the_window_are_read_from_the_template(resolution,
     page = serre_e2_over_bg(resolution, fl3xfl3, 3)
     assert page.entry(10, 6)[1] >= 3 and page.tors_beyond_window(15, 2) == 2
     stable = run_to_e_infinity(
-        page, DifferentialSpec([Move(5, (10, 6), (15, 2), 2, True)]))
+        page, DifferentialSpec([Move(5, (10, 6), 2)]))
     assert stable.entry(10, 6)[1] == page.entry(10, 6)[1] - 2
     with pytest.raises(RankTooLarge):
         run_to_e_infinity(
-            page, DifferentialSpec([Move(5, (10, 6), (15, 2), 3, True)]))
+            page, DifferentialSpec([Move(5, (10, 6), 3)]))
 
 
 def test_targets_past_the_window_are_consumed():
@@ -225,25 +251,23 @@ def test_targets_past_the_window_are_consumed():
     page = BigradedPage(3, 4, {
         q: (lambda c, r=r: (0, int(c >= 1 and c % 4 == r)))
         for q, r in residues.items()})
-    tors, free = serre._torsion_and_free(page)
-    d5 = Move(5, (1, 11), (6, 7), 0, True)
-    d6 = Move(6, (4, 12), (10, 7), 0, True)
-    after = serre._apply(page, tors, free, d5, 1, serre._family_slots(page, d5))
+    d5, d6 = Move(5, (1, 11), 0), Move(6, (4, 12), 0)
+    after = serre._apply(page, serre._torsion(page), d5, 1,
+                         serre._columns(page, d5))
     assert after is not None and after[10, 7] == 0
-    assert serre._apply(page, after, free, d6, 1,
-                        serre._family_slots(page, d6)) is None
+    assert serre._apply(page, after, d6, 1, serre._columns(page, d6)) is None
     assert forced_differentials(page, 14) == []
 
 
 def _random_page(rng):
-    """3-7 rows with a 0/1 torsion pattern per residue past column 0 and
-    (free, tors) in {0, 1}^2 at column 0, at p = 2 or 3."""
+    """3-7 rows with a 0/1 torsion pattern per residue past column 0 and a
+    free rank 0 or 1 at column 0, at p = 2 or 3."""
     p = rng.choice((2, 3))
     period = 4 if p == 3 else 2
     templates = {}
     for q in rng.sample(range(14), rng.randint(3, 7)):
         pattern = [rng.randint(0, 1) for _ in range(period)]
-        col0 = (rng.randint(0, 1), rng.randint(0, 1))
+        col0 = (rng.randint(0, 1), 0)
         templates[q] = (lambda c, pattern=pattern, col0=col0:
                         col0 if c == 0 else (0, pattern[c % period]))
     return BigradedPage(p, period, templates)
@@ -256,7 +280,7 @@ def test_no_spec_uses_a_class_twice(monkeypatch):
     monkeypatch.setattr(serre, "NODE_BUDGET", 20_000)
     rng = random.Random(7)
     checked = 0
-    for _ in range(1000):
+    for _ in range(1300):
         page = _random_page(rng)
         try:
             specs = forced_differentials(page, rng.randint(4, 15))
@@ -269,7 +293,7 @@ def test_no_spec_uses_a_class_twice(monkeypatch):
                 columns = (range(c0, serre.WINDOW - q + 1, page.period)
                            if mv.periodic else [c0])
                 for c in columns:
-                    if mv.kind == "torsion":
+                    if mv.periodic:
                         used[c, q] += mv.rank
                     used[c + mv.page, tq] += mv.rank
             for (c, q), n in used.items():
@@ -289,7 +313,7 @@ def test_page_already_vanishing(resolution, catalog):
 
 def test_rank_too_large(resolution, flbar3):
     page = serre_e2_over_bg(resolution, flbar3, 3)
-    bad = DifferentialSpec([Move(5, (2, 6), (7, 2), 2, True)])
+    bad = DifferentialSpec([Move(5, (2, 6), 2)])
     with pytest.raises(RankTooLarge):
         run_to_e_infinity(page, bad)
 
@@ -306,7 +330,6 @@ def test_euler_characteristic_preserved(resolution, flbar3, fl3xfl3):
     """A differential kills equal counts in adjacent total degrees, so the
     alternating sum over the window only moves when a kill pairs with a slot
     beyond the window edge; that drift is reproduced from the applied moves."""
-    from ecomu3.serre import _family_slots
     for reps, D in [(flbar3, 6), (fl3xfl3, 12)]:
         for p in (2, 3):
             page = serre_e2_over_bg(resolution, reps, p)
@@ -314,13 +337,12 @@ def test_euler_characteristic_preserved(resolution, flbar3, fl3xfl3):
             stable = run_to_e_infinity(page, spec)
             drift = 0
             for mv in spec.moves:
-                cols = _family_slots(page, mv) if mv.periodic else [mv.source[0]]
-                for c in cols:
+                for c in serre._columns(page, mv):
                     n = c + mv.source[1]
                     out = c + mv.page + mv.target[1] > serre.WINDOW
-                    if mv.kind == "torsion" and out:
+                    if mv.periodic and out:
                         drift -= (-1) ** n * mv.rank
-                    elif mv.kind == "free" and not out:
+                    elif not mv.periodic and not out:
                         # the free source keeps its rank; only the target dies
                         drift += (-1) ** n * mv.rank
             assert euler_characteristic(stable) == \
